@@ -67,6 +67,26 @@ class CfgParams:
             raise ValueError("invalid block instruction bounds")
 
 
+def zipf_cdf(span: int) -> np.ndarray:
+    """CDF of the 1/rank weights over ``range(span)``.
+
+    Built exactly as ``Generator.choice(span, p=weights)`` builds it
+    from the normalised weights, so :func:`draw_from_cdf` reproduces
+    that call's draws bit for bit.
+    """
+    weights = 1.0 / np.arange(1, span + 1, dtype=float)
+    weights /= weights.sum()
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_from_cdf(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """One draw of ``rng.choice(len(cdf), p=...)`` from its CDF: the
+    same single ``rng.random()`` and right-sided search."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 class CfgGenerator:
     """Generates a :class:`ControlFlowGraph` from :class:`CfgParams`.
 
@@ -80,12 +100,18 @@ class CfgGenerator:
         self.params = params
         self.rng = np.random.default_rng(seed)
         self._next_bid = 0
+        # The Zipf CDF of the current callee span.  Every call site of
+        # one function shares a span, so one entry is enough; keeping a
+        # CDF per span would hold O(n_functions**2) floats.
+        self._cdf_span = 0
+        self._cdf = np.empty(0)
 
     def generate(self) -> ControlFlowGraph:
         p = self.params
         n_util = max(1, int(p.n_functions * p.utility_fraction))
         # Utilities occupy the tail ids so every function may call them.
         self._utility_fids = list(range(p.n_functions - n_util, p.n_functions))
+        self._utility_set = frozenset(self._utility_fids)
         functions = [self._gen_function(fid) for fid in range(p.n_functions)]
         return ControlFlowGraph(functions)
 
@@ -100,13 +126,13 @@ class CfgGenerator:
     def _block_len(self) -> int:
         p = self.params
         n = int(self.rng.poisson(p.avg_block_instr - p.min_block_instr))
-        return int(np.clip(n + p.min_block_instr,
-                           p.min_block_instr, p.max_block_instr))
+        return int(min(max(n + p.min_block_instr, p.min_block_instr),
+                       p.max_block_instr))
 
     def _pick_callee(self, fid: int) -> Optional[int]:
         """Zipf-weighted forward callee, or a shared utility."""
         p = self.params
-        is_util = fid in self._utility_fids
+        is_util = fid in self._utility_set
         if not is_util and self.rng.random() < p.p_call_utility:
             return int(self.rng.choice(self._utility_fids))
         lo = fid + 1
@@ -115,17 +141,17 @@ class CfgGenerator:
             return None
         # Prefer nearby callees (locality in the call graph).
         span = hi - lo
-        ranks = np.arange(1, span + 1, dtype=float)
-        weights = 1.0 / ranks
-        weights /= weights.sum()
-        return int(lo + self.rng.choice(span, p=weights))
+        if span != self._cdf_span:
+            self._cdf_span = span
+            self._cdf = zipf_cdf(span)
+        return lo + draw_from_cdf(self.rng, self._cdf)
 
     def _cond_taken_prob(self) -> float:
         p = self.params
         if self.rng.random() < p.p_balanced:
             return float(self.rng.uniform(0.35, 0.65))
         base = p.biased_taken_prob * float(self.rng.uniform(0.5, 1.5))
-        prob = float(np.clip(base, 0.005, 0.45))
+        prob = min(max(base, 0.005), 0.45)
         # Half the biased branches are biased-taken rather than not-taken.
         if self.rng.random() < 0.5:
             prob = 1.0 - prob
@@ -136,7 +162,7 @@ class CfgGenerator:
 
     def _gen_function(self, fid: int) -> Function:
         p = self.params
-        is_util = fid in self._utility_fids
+        is_util = fid in self._utility_set
         n_segments = max(1, int(self.rng.geometric(1.0 / p.avg_segments)))
         if is_util:
             n_segments = max(1, n_segments // 2)

@@ -20,11 +20,11 @@ from ..isa import (
     MIN_VARIABLE_SIZE,
     VL_BRANCH_MIN_SIZE,
     BranchKind,
+    EncodingError,
     Instruction,
     PredecodeCaches,
     Predecoder,
     TextSegment,
-    block_base,
 )
 from .graph import BasicBlock, ControlFlowGraph
 
@@ -97,17 +97,18 @@ class Program:
             first_pc = 0
             count = 0
             for instr in blk.instructions:
-                line = block_base(instr.pc)
+                pc = instr.pc
+                line = pc - pc % CACHE_BLOCK_SIZE
                 if line != cur_line:
                     if count:
                         spans.append(LineSpan(cur_line, first_pc, count, False))
                     cur_line = line
-                    first_pc = instr.pc
+                    first_pc = pc
                     count = 0
                 count += 1
-                if instr.is_branch:
+                if instr.kind != BranchKind.NOT_BRANCH:
                     offs = self._branch_offsets.setdefault(line, ())
-                    self._branch_offsets[line] = offs + (instr.pc - line,)
+                    self._branch_offsets[line] = offs + (pc - line,)
             if count:
                 spans.append(LineSpan(cur_line, first_pc, count,
                                       blk.terminator is not None))
@@ -154,31 +155,41 @@ def layout_program(cfg: ControlFlowGraph, variable_length: bool = False,
     segment = TextSegment(base=base, size=cursor - base,
                           variable_length=variable_length)
 
-    # Pass 2: resolve targets and emit bytes.
+    # Pass 2: resolve targets, build instructions and emit bytes.
     for func in cfg.functions:
         for blk in func.blocks:
             sizes = all_sizes[blk.bid]
-            pcs: List[int] = []
-            pc = blk.addr
-            for s in sizes:
-                pcs.append(pc)
-                pc += s
+            term = blk.terminator
             instrs: List[Instruction] = []
-            for i, (ipc, isize) in enumerate(zip(pcs, sizes)):
-                is_last = i == len(sizes) - 1
-                term = blk.terminator if is_last else None
-                if term is None:
-                    instrs.append(Instruction(pc=ipc, size=isize))
-                    continue
+            pc = blk.addr
+            for isize in (sizes if term is None else sizes[:-1]):
+                instrs.append(Instruction(pc, isize))
+                pc += isize
+            if term is not None:
                 target = None
                 if term.kind in (BranchKind.COND, BranchKind.JUMP):
                     target = cfg.block(term.taken_succ).addr
                 elif term.kind is BranchKind.CALL:
                     target = cfg.function(term.callee).entry.addr
-                instrs.append(Instruction(pc=ipc, size=isize,
-                                          kind=term.kind, target=target))
+                instrs.append(Instruction(pc, sizes[-1], term.kind, target))
             blk.instructions = instrs
-            for instr in instrs:
-                segment.write_instruction(instr)
+            if variable_length:
+                for instr in instrs:
+                    segment.write_instruction(instr)
+                continue
+            # A fixed-length non-branch encodes to four zero bytes and a
+            # fresh segment holds zeros, so only the terminator is
+            # written.  The size and bounds checks that encoding and
+            # writing each instruction would make are made per block.
+            if sizes.count(FIXED_INSTRUCTION_SIZE) != len(sizes):
+                raise EncodingError(
+                    f"fixed-length ISA requires {FIXED_INSTRUCTION_SIZE}-byte "
+                    f"instructions, block {blk.bid} has sizes {sizes}")
+            if not segment.contains(blk.addr, blk.size):
+                raise EncodingError(
+                    f"block {blk.bid} at {blk.addr:#x} (+{blk.size}) outside "
+                    f"segment [{segment.base:#x}, {segment.end:#x})")
+            if term is not None:
+                segment.write_instruction(instrs[-1])
 
     return Program(cfg, segment)

@@ -4,7 +4,8 @@ Every figure/table driver reduces to a bag of independent
 ``run_scheme(workload, scheme, ...)`` simulations; this module runs such
 a bag on a :class:`~concurrent.futures.ProcessPoolExecutor` and seeds the
 in-process memo cache with the workers' slim results, so the serial
-driver code that follows gets pure cache hits.
+driver code that follows gets pure cache hits.  The bag is batched by
+program, so each program is built by one worker rather than by all.
 
 Results are **bit-identical to serial execution**: workers recompute the
 same seeded traces and run the same deterministic engine — parallelism
@@ -32,6 +33,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import runner
 from .runner import RunResult, run_scheme
+from ..obs.metrics import REGISTRY
 from ..obs.profile import PROFILER
 from ..obs.tracing import TRACER, TraceContext
 
@@ -105,6 +107,18 @@ def _normalise(spec: RunSpec, common: Dict) -> Tuple[str, str, Dict]:
     return workload, scheme, merged
 
 
+def _key(workload: str, scheme: str, params: Dict) -> Tuple:
+    """The memo key :func:`run_scheme` uses for one normalised spec."""
+    return runner.cache_key(
+        workload, scheme,
+        n_records=params.get("n_records", runner.DEFAULT_RECORDS),
+        warmup=params.get("warmup"),
+        scale=params.get("scale", 1.0),
+        variable_length=params.get("variable_length", False),
+        config_overrides=params.get("config_overrides"),
+        cache_key_extra=params.get("cache_key_extra"))
+
+
 #: The trace leg of a worker payload: ``(trace_id, parent_span_id,
 #: worker_span_id)``, or None when the submitting side has no active
 #: trace.  The *parent* pre-allocates the worker's span id (ids fold a
@@ -112,22 +126,27 @@ def _normalise(spec: RunSpec, common: Dict) -> Tuple[str, str, Dict]:
 #: two workers naming their own spans would collide).
 TraceLeg = Optional[Tuple[str, str, str]]
 
+#: One pool task's input: ``(workload, scheme, params, trace leg)``.
+Payload = Tuple[str, str, Dict, TraceLeg]
 
-def _worker(payload: Tuple[str, str, Dict, TraceLeg]
-            ) -> Tuple[Tuple, RunResult, float, Dict, List[Dict]]:
-    """Executed in a worker process: one slim simulation run.
+#: One spec's output from a pool worker: the memo key, the result, the
+#: worker-side wall time, and the worker's profiler, trace-span and
+#: metrics snapshots for that spec alone.
+WorkerResult = Tuple[Tuple, RunResult, float, Dict, List[Dict], Dict]
 
-    Returns the memo key, the result, the worker-side wall time, the
-    worker's profiler snapshot and its trace-span snapshot for this
-    task, so the parent can profile per-worker cost vs pool overhead
-    *and* fold the worker's counters and spans into its own profiler
-    and tracer.  Both are reset at task start because pool processes
-    are reused across tasks — each snapshot must cover exactly one
-    task.
+
+def _run_payload(payload: Payload) -> WorkerResult:
+    """One slim simulation run inside a pool worker.
+
+    The profiler, tracer and metric values are reset first because pool
+    processes are reused across specs: each snapshot must cover exactly
+    this spec, so the parent can fold the worker's counters, spans and
+    metrics into its own and profile per-spec cost vs pool overhead.
     """
     workload, scheme, params, leg = payload
     PROFILER.reset()
     TRACER.reset()
+    REGISTRY.reset_values()
     start = time.perf_counter()
     if leg is not None:
         trace_id, parent_span_id, worker_span_id = leg
@@ -139,15 +158,45 @@ def _worker(payload: Tuple[str, str, Dict, TraceLeg]
     else:
         result = run_scheme(workload, scheme, **params)
     elapsed = time.perf_counter() - start
-    key = runner.cache_key(
-        workload, scheme,
-        n_records=params.get("n_records", runner.DEFAULT_RECORDS),
-        warmup=params.get("warmup"),
-        scale=params.get("scale", 1.0),
-        variable_length=params.get("variable_length", False),
-        config_overrides=params.get("config_overrides"),
-        cache_key_extra=params.get("cache_key_extra"))
-    return key, result, elapsed, PROFILER.snapshot(), TRACER.snapshot()
+    # Counters and histograms add up across processes; gauges sample one
+    # process's state (its store session, the service queue), so a
+    # worker's must never overwrite the parent's.
+    metrics = REGISTRY.snapshot()
+    del metrics["gauges"]
+    return (_key(workload, scheme, params), result, elapsed,
+            PROFILER.snapshot(), TRACER.snapshot(), metrics)
+
+
+def _worker(batch: List[Payload]) -> List[WorkerResult]:
+    """Executed in a worker process: one program's batch of specs, in
+    order, so the program is built once for all of them."""
+    return [_run_payload(payload) for payload in batch]
+
+
+def _program_batches(payloads: List[Payload],
+                     workers: int) -> List[List[Payload]]:
+    """Group pool payloads into one batch per program, largest first.
+
+    A program is ``(workload, scale, variable_length)``: every spec on
+    it shares the build (CFG, layout, pre-decode memos) and traces, so
+    one worker running all of them builds it once instead of every
+    worker building every program.  While there are fewer batches than
+    workers the largest is split in half, so a fan-out over one program
+    (a service ``compare`` job) still uses the pool.
+    """
+    groups: Dict[Tuple, List[Payload]] = {}
+    for payload in payloads:
+        params = payload[2]
+        program = (payload[0], params.get("scale", 1.0),
+                   params.get("variable_length", False))
+        groups.setdefault(program, []).append(payload)
+    batches = sorted(groups.values(), key=len, reverse=True)
+    while len(batches) < workers and len(batches[0]) > 1:
+        largest = batches.pop(0)
+        half = (len(largest) + 1) // 2
+        batches += [largest[:half], largest[half:]]
+        batches.sort(key=len, reverse=True)
+    return batches
 
 
 def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
@@ -158,13 +207,15 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
     ``common`` keyword arguments (e.g. ``n_records=...``) apply to every
     spec unless its own params override them.  With an effective job
     count of 1 this is exactly a loop over ``run_scheme``; with more, the
-    unique specs are distributed over worker processes and the memo cache
-    is seeded so later ``run_scheme`` calls in this process hit.
+    unique specs are grouped into one batch per program (see
+    :func:`_program_batches`), the batches are distributed over worker
+    processes, and the memo cache is seeded so later ``run_scheme``
+    calls in this process hit.
 
     ``progress``, when given, is called with each spec's result as it
-    lands (input order serially; unique specs only, in completion
-    order, under a pool) — the service's job event stream hangs off
-    this hook.
+    lands: in input order serially; under a pool, once per unique spec,
+    when that spec's program batch returns (batches in submission
+    order) — the service's job event stream hangs off this hook.
     """
     normalised = [_normalise(s, common) for s in specs]
     n_jobs = resolve_jobs(jobs)
@@ -180,13 +231,7 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
     # Deduplicate: figure drivers re-request the baseline many times.
     unique: Dict[Tuple, Tuple[str, str, Dict]] = {}
     for w, s, p in normalised:
-        key = runner.cache_key(
-            w, s, n_records=p.get("n_records", runner.DEFAULT_RECORDS),
-            warmup=p.get("warmup"), scale=p.get("scale", 1.0),
-            variable_length=p.get("variable_length", False),
-            config_overrides=p.get("config_overrides"),
-            cache_key_extra=p.get("cache_key_extra"))
-        unique.setdefault(key, (w, s, p))
+        unique.setdefault(_key(w, s, p), (w, s, p))
     # Serve already-memoised keys locally; only miss keys hit the pool.
     todo = {k: v for k, v in unique.items() if k not in runner._CACHE}
 
@@ -196,7 +241,7 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
         # the service) travels inside each payload, with the worker's
         # span id pre-allocated here so sibling workers never collide.
         ctx = TRACER.current()
-        payloads = []
+        payloads: List[Payload] = []
         for w, s, p in todo.values():
             leg: TraceLeg = None
             if ctx is not None:
@@ -204,25 +249,27 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
                        TRACER.new_span_id(ctx.trace_id, ctx.span_id,
                                           "run_many.worker"))
             payloads.append((w, s, p, leg))
+        batches = _program_batches(payloads, n_jobs)
+        workers = min(n_jobs, len(batches))
         pool_start = time.perf_counter()
         try:
-            with ProcessPoolExecutor(
-                    max_workers=min(n_jobs, len(payloads))) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 busy = 0.0
-                for key, result, elapsed, snap, spans in pool.map(
-                        _worker, payloads):
-                    runner.seed_cache(key, result)
-                    PROFILER.record("run_many.worker", elapsed)
-                    PROFILER.merge(snap)
-                    TRACER.merge(spans)
-                    busy += elapsed
-                    if progress is not None:
-                        progress(result)
+                for batch in pool.map(_worker, batches):
+                    for key, result, elapsed, snap, spans, metrics in batch:
+                        runner.seed_cache(key, result)
+                        PROFILER.record("run_many.worker", elapsed)
+                        PROFILER.merge(snap)
+                        TRACER.merge(spans)
+                        REGISTRY.merge(metrics)
+                        busy += elapsed
+                        if progress is not None:
+                            progress(result)
             wall = time.perf_counter() - pool_start
             PROFILER.record("run_many.pool", wall)
             # Wall time not covered by (perfectly parallel) worker work:
-            # process spin-up, pickling, and queue wait.
-            workers = min(n_jobs, len(payloads))
+            # process spin-up, pickling, queue wait, and a worker idling
+            # once the batches run out.
             PROFILER.record("run_many.pool_overhead",
                             max(0.0, wall - busy / workers))
             PROFILER.incr("run_many.worker_runs", len(payloads))

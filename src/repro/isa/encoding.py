@@ -54,12 +54,13 @@ def encode_fixed(instr: Instruction) -> bytes:
             f"fixed-length ISA requires {FIXED_INSTRUCTION_SIZE}-byte "
             f"instructions, got {instr.size}"
         )
+    kind = instr.kind
     disp = 0
-    if instr.kind.target_encoded:
+    if kind.target_encoded:
         disp = instr.target - instr.pc
         if not _DISP24_MIN <= disp <= _DISP24_MAX:
             raise EncodingError(f"displacement {disp} out of 24-bit range")
-    return bytes((instr.kind.value & 0xFF,)) + (disp & 0xFFFFFF).to_bytes(3, "little")
+    return bytes((kind & 0xFF,)) + (disp & 0xFFFFFF).to_bytes(3, "little")
 
 
 def decode_fixed(data: bytes, pc: int) -> Instruction:
@@ -87,14 +88,15 @@ def encode_variable(instr: Instruction) -> bytes:
             f"variable-length instruction size {instr.size} outside "
             f"[{MIN_VARIABLE_SIZE}, {MAX_VARIABLE_SIZE}]"
         )
-    if instr.kind.target_encoded and instr.size < VL_BRANCH_MIN_SIZE:
+    kind = instr.kind
+    if kind.target_encoded and instr.size < VL_BRANCH_MIN_SIZE:
         raise EncodingError(
-            f"{instr.kind.name} needs at least {VL_BRANCH_MIN_SIZE} bytes "
+            f"{kind.name} needs at least {VL_BRANCH_MIN_SIZE} bytes "
             f"to encode a displacement, got {instr.size}"
         )
     out = bytearray(instr.size)
-    out[0] = ((instr.kind.value & 0xF) << 4) | (instr.size & 0xF)
-    if instr.kind.target_encoded:
+    out[0] = ((kind & 0xF) << 4) | (instr.size & 0xF)
+    if kind.target_encoded:
         disp = instr.target - instr.pc
         if not _DISP32_MIN <= disp <= _DISP32_MAX:
             raise EncodingError(f"displacement {disp} out of 32-bit range")

@@ -31,14 +31,19 @@ class BranchKind(enum.IntEnum):
     RETURN = 4
     INDIRECT = 5
 
+    # The predicates below compare plain ints (NOT_BRANCH is 0; COND,
+    # JUMP and CALL are 1-3): every instruction built or decoded asks
+    # them, and an enum identity or tuple-membership test costs several
+    # times as much.
+
     @property
     def is_branch(self) -> bool:
-        return self is not BranchKind.NOT_BRANCH
+        return self != 0
 
     @property
     def target_encoded(self) -> bool:
         """True when the branch target can be computed from the bytes alone."""
-        return self in (BranchKind.COND, BranchKind.JUMP, BranchKind.CALL)
+        return 0 < self < 4
 
     @property
     def is_unconditional(self) -> bool:
@@ -62,7 +67,7 @@ class Instruction:
 
     @property
     def is_branch(self) -> bool:
-        return self.kind.is_branch
+        return self.kind != 0
 
     @property
     def end(self) -> int:
@@ -72,9 +77,10 @@ class Instruction:
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ValueError(f"instruction size must be positive, got {self.size}")
-        if self.kind.target_encoded and self.target is None:
-            raise ValueError(f"{self.kind.name} branch at {self.pc:#x} needs a target")
-        if not self.kind.is_branch and self.target is not None:
+        kind = self.kind
+        if 0 < kind < 4 and self.target is None:    # COND, JUMP, CALL
+            raise ValueError(f"{kind.name} branch at {self.pc:#x} needs a target")
+        if kind == 0 and self.target is not None:
             raise ValueError("non-branch instructions cannot carry a target")
 
 

@@ -119,29 +119,59 @@ class Predecoder:
         if self.segment.variable_length:
             self._decode_variable(result, bounds, footprint_offsets, dis_offset)
         else:
-            self._decode_fixed(result, bounds, dis_offset)
+            self._decode_fixed(result, dis_offset)
         return result
 
-    def _decode_fixed(self, result: PredecodeResult, bounds: range,
+    def _decode_fixed(self, result: PredecodeResult,
                       dis_offset: Optional[int]) -> None:
         base = result.block_addr
-        cached = self._fixed_cache.get(base)
-        if cached is None:
-            cached = []
-            for pc in range(bounds.start, bounds.stop, FIXED_INSTRUCTION_SIZE):
-                try:
-                    instr = self.segment.decode_at(pc)
-                except EncodingError:
-                    continue
-                if instr.is_branch:
-                    cached.append(instr)
-            self._fixed_cache[base] = cached
+        cached = self._fixed_branches(base)
         result.branches = list(cached)
         if dis_offset is not None:
             for instr in cached:
                 if (instr.pc - base) // FIXED_INSTRUCTION_SIZE == dis_offset:
                     result.offset_branch = instr
                     break
+
+    def _fixed_branches(self, base: int) -> List[Instruction]:
+        """The branches of the fixed-length block at ``base`` (memoised).
+
+        Only a slot whose opcode byte is nonzero can hold a branch or
+        fail to decode: a zero opcode is ``NOT_BRANCH``.  So the opcode
+        bytes are scanned and only the nonzero slots decoded, which
+        yields the branches a decode of every slot would.
+        """
+        cached = self._fixed_cache.get(base)
+        if cached is None:
+            cached = []
+            bounds = self._block_bounds(base)
+            opcodes = self.segment.read(bounds.start, len(bounds))[
+                ::FIXED_INSTRUCTION_SIZE]
+            for slot, opcode in enumerate(opcodes):
+                if not opcode:
+                    continue
+                try:
+                    instr = self.segment.decode_at(
+                        bounds.start + slot * FIXED_INSTRUCTION_SIZE)
+                except EncodingError:
+                    continue
+                if instr.is_branch:
+                    cached.append(instr)
+            self._fixed_cache[base] = cached
+        return cached
+
+    def _fixed_info_of(self, base: int):
+        """``(branches, offset_map)`` of the block at ``base`` (memoised)."""
+        info = self._fixed_info.get(base)
+        if info is None:
+            cached = self._fixed_branches(base)
+            offset_map: dict = {}
+            for instr in cached:
+                offset_map.setdefault(
+                    (instr.pc - base) // FIXED_INSTRUCTION_SIZE, instr)
+            info = (tuple(cached), offset_map)
+            self._fixed_info[base] = info
+        return info
 
     def fixed_block_info(self, block_addr: int):
         """Pre-decode a fixed-length block without result-object churn.
@@ -158,29 +188,7 @@ class Predecoder:
             raise EncodingError(
                 "fixed_block_info is only defined for fixed-length ISAs")
         self.blocks_decoded += 1
-        base = block_base(block_addr)
-        info = self._fixed_info.get(base)
-        if info is None:
-            cached = self._fixed_cache.get(base)
-            if cached is None:
-                cached = []
-                bounds = self._block_bounds(base)
-                for pc in range(bounds.start, bounds.stop,
-                                FIXED_INSTRUCTION_SIZE):
-                    try:
-                        instr = self.segment.decode_at(pc)
-                    except EncodingError:
-                        continue
-                    if instr.is_branch:
-                        cached.append(instr)
-                self._fixed_cache[base] = cached
-            offset_map: dict = {}
-            for instr in cached:
-                offset_map.setdefault(
-                    (instr.pc - base) // FIXED_INSTRUCTION_SIZE, instr)
-            info = (tuple(cached), offset_map)
-            self._fixed_info[base] = info
-        return info
+        return self._fixed_info_of(block_base(block_addr))
 
     def prewarm_fixed(self) -> None:
         """Decode every fixed-ISA block of the segment into the memos.
@@ -196,31 +204,9 @@ class Predecoder:
         if self.segment.variable_length or self._caches.prewarmed:
             return
         self._caches.prewarmed = True
-        info = self._fixed_info
-        fixed = self._fixed_cache
         seg = self.segment
-        start = block_base(seg.base)
-        for base in range(start, seg.end, CACHE_BLOCK_SIZE):
-            if base in info:
-                continue
-            cached = fixed.get(base)
-            if cached is None:
-                cached = []
-                bounds = self._block_bounds(base)
-                for pc in range(bounds.start, bounds.stop,
-                                FIXED_INSTRUCTION_SIZE):
-                    try:
-                        instr = seg.decode_at(pc)
-                    except EncodingError:
-                        continue
-                    if instr.is_branch:
-                        cached.append(instr)
-                fixed[base] = cached
-            offset_map: dict = {}
-            for instr in cached:
-                offset_map.setdefault(
-                    (instr.pc - base) // FIXED_INSTRUCTION_SIZE, instr)
-            info[base] = (tuple(cached), offset_map)
+        for base in range(block_base(seg.base), seg.end, CACHE_BLOCK_SIZE):
+            self._fixed_info_of(base)
 
     def _decode_one_vl(self, pc: int) -> Optional[Instruction]:
         if pc in self._vl_cache:

@@ -13,6 +13,9 @@ and produces one :class:`Verdict` each:
   runs of the same build jitter within their intervals and pass, while
   a real slowdown (no overlap, beyond tolerance) fails.
 * **pass / improved** — within tolerance, or faster beyond it.
+* **unresolved** — one side has fewer than two timing samples, so it has
+  no interval to compare (``--repeats 1``); its timing is not gated.
+  Digest drift is still checked first and still fails.
 * **no-baseline** — first measurement of this cell; recorded, not failed.
 
 The interval machinery is the shared stdlib t-quantile code in
@@ -50,7 +53,8 @@ class Verdict:
     cell: str
     workload: str
     scheme: str
-    status: str                       # pass|improved|regression|behaviour|no-baseline
+    #: pass|improved|regression|behaviour|unresolved|no-baseline
+    status: str
     current_rps: float
     baseline_rps: Optional[float] = None
     ratio: Optional[float] = None     # baseline/current (>1 = slower now)
@@ -129,8 +133,13 @@ def check_record(current: Dict[str, Any],
                              [verdict.baseline_rps], confidence)
     verdict.ci_current = cur
     verdict.ci_baseline = base
-    verdict.ci_overlap = cur.overlaps(base)
     verdict.ratio = base.mean / cur.mean if cur.mean else float("inf")
+    if cur.n < 2 or base.n < 2:
+        # A single sample's interval has zero width, so any two single
+        # samples would read as disjoint and one noisy run would fail.
+        verdict.status = "unresolved"
+        return verdict
+    verdict.ci_overlap = cur.overlaps(base)
 
     if verdict.ratio > 1.0 + tolerance and not verdict.ci_overlap:
         verdict.status = "regression"
@@ -170,6 +179,10 @@ def render_verdicts(verdicts: Sequence[Verdict]) -> str:
         lines.append(f"{v.workload:16s} {v.scheme:22s} "
                      f"{v.current_rps:>10,.0f} {base:>10s} {ratio:>9s} "
                      f"{v.status:>11s}")
+    unresolved = [v.cell for v in verdicts if v.status == "unresolved"]
+    if unresolved:
+        lines.append(f"  UNRESOLVED {', '.join(unresolved)}: fewer than two "
+                     f"timing samples on a side, timing not gated")
     failures = [v for v in verdicts if v.failed]
     for v in failures:
         if v.status == "behaviour":
@@ -195,8 +208,13 @@ def markdown_report(verdicts: Sequence[Verdict],
         lines.append(f"**FAILED** — {len(failed)} of {len(verdicts)} "
                      f"cells regressed (tolerance {tolerance:.0%}).")
     else:
-        lines.append(f"**PASSED** — {len(verdicts)} cells within "
-                     f"{tolerance:.0%} tolerance.")
+        lines.append(f"**PASSED** — no regression in {len(verdicts)} "
+                     f"cells (tolerance {tolerance:.0%}).")
+    unresolved = [v for v in verdicts if v.status == "unresolved"]
+    if unresolved:
+        lines += ["", f"{len(unresolved)} cells unresolved: fewer than two "
+                  f"timing samples on a side, so their timing was not "
+                  f"gated (their digests were)."]
     lines += [
         "",
         "| workload | scheme | current rec/s | baseline rec/s | "

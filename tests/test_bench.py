@@ -180,6 +180,45 @@ class TestRegressionGate:
         assert [v.status for v in verdicts] in (["pass"], ["improved"])
         assert not regress.any_failed(verdicts)
 
+    def test_one_sample_slowdown_is_unresolved(self):
+        """One sample has no interval: a 2x drop at --repeats 1 is
+        reported as ungated timing, not as a regression."""
+        current = self._record(records_per_sec=[100.0],
+                               mean_records_per_sec=100.0)
+        baseline = copy.deepcopy(current)
+        baseline["records_per_sec"] = [200.0]
+        baseline["mean_records_per_sec"] = 200.0
+        verdict = regress.check_record(current, baseline, tolerance=0.10)
+        assert verdict.status == "unresolved"
+        assert not verdict.failed
+        assert verdict.ratio == pytest.approx(2.0)
+        assert verdict.ci_overlap is None
+        rendered = regress.render_verdicts([verdict])
+        assert "REGRESSION" not in rendered
+        assert "timing not gated" in rendered
+        report = regress.markdown_report([verdict])
+        assert "PASSED" in report and "not gated" in report
+
+    def test_one_sample_digest_drift_still_fails(self):
+        current = self._record(records_per_sec=[100.0],
+                               mean_records_per_sec=100.0)
+        baseline = copy.deepcopy(current)
+        baseline["records_per_sec"] = [100.0]
+        baseline["digest"] = dict(baseline["digest"], l1i_misses=-1)
+        verdict = regress.check_record(current, baseline)
+        assert verdict.status == "behaviour"
+        assert verdict.failed
+
+    def test_two_sample_disjoint_slowdown_is_a_regression(self):
+        current = self._record(records_per_sec=[99.0, 101.0],
+                               mean_records_per_sec=100.0)
+        baseline = copy.deepcopy(current)
+        baseline["records_per_sec"] = [199.0, 201.0]
+        baseline["mean_records_per_sec"] = 200.0
+        verdict = regress.check_record(current, baseline, tolerance=0.10)
+        assert verdict.status == "regression"
+        assert verdict.failed
+
     def test_injected_slowdown_is_flagged_with_scheme_named(self):
         """Acceptance: a 2x slowdown in one scheme fails, naming it."""
         current = self._record(records_per_sec=[99.0, 100.0, 101.0],

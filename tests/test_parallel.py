@@ -5,6 +5,7 @@ pin down — ``jobs=2`` must produce bit-identical results to serial
 execution, because every simulation is deterministic given its seed.
 """
 
+import os
 import warnings
 from dataclasses import asdict
 
@@ -149,6 +150,111 @@ class TestRunMany:
         spans = PROFILER.snapshot()["spans"]
         assert spans["run_scheme.simulate"]["count"] == 2
         assert spans["run_scheme.simulate"]["total_s"] > 0
+
+
+class TestProgramBatches:
+    @staticmethod
+    def _payload(workload, scheme, scale=SCALE, variable_length=False):
+        return (workload, scheme,
+                {"scale": scale, "variable_length": variable_length}, None)
+
+    def test_one_batch_per_program_largest_first(self):
+        payloads = [self._payload(w, s)
+                    for w in ("web_frontend", "web_apache", "oltp_db_a")
+                    for s in ("baseline", "nl", "sn4l")]
+        payloads.append(self._payload("oltp_db_a", "shotgun"))
+        payloads.append(self._payload("oltp_db_a", "shotgun",
+                                      variable_length=True))
+        batches = parallel._program_batches(payloads, workers=2)
+        assert [len(b) for b in batches] == [4, 3, 3, 1]
+        for batch in batches:
+            programs = {(w, p["scale"], p["variable_length"])
+                        for w, _s, p, _leg in batch}
+            assert len(programs) == 1
+        assert sorted(map(id, (p for b in batches for p in b))) == \
+            sorted(map(id, payloads))
+
+    def test_splits_until_every_worker_has_a_batch(self):
+        payloads = [self._payload("web_apache", s)
+                    for s in ("baseline", "nl", "sn4l")]
+        batches = parallel._program_batches(payloads, workers=2)
+        assert batches == [payloads[:2], payloads[2:]]
+        # Never split below one spec per batch.
+        assert len(parallel._program_batches(payloads[:1], workers=4)) == 1
+        assert [len(b) for b in
+                parallel._program_batches(payloads, workers=8)] == [1, 1, 1]
+
+
+class TestPooledMetrics:
+    SPECS = [("web_apache", "baseline"), ("web_apache", "nl"),
+             ("oltp_db_a", "baseline")]
+
+    @staticmethod
+    def _engine_counts():
+        from repro.obs.metrics import REGISTRY
+        snap = REGISTRY.snapshot()
+
+        def counter(name):
+            return sum(row["value"] for row in snap["counters"][name])
+        runs = snap["histograms"]["repro_run_seconds"]["series"]
+        return (counter("repro_runs_total"),
+                counter("repro_records_simulated_total"),
+                sum(row["count"] for row in runs))
+
+    def test_pooled_run_counts_match_serial(self):
+        from repro.obs.metrics import REGISTRY
+        REGISTRY.reset_values()
+        run_many(self.SPECS, jobs=1, n_records=RECORDS, scale=SCALE,
+                 persistent=False)
+        serial = self._engine_counts()
+        assert serial == (3, 3 * RECORDS, 3)
+        runner.clear_cache()
+        REGISTRY.reset_values()
+        run_many(self.SPECS, jobs=2, n_records=RECORDS, scale=SCALE,
+                 persistent=False)
+        assert self._engine_counts() == serial
+
+    def test_worker_snapshot_carries_no_gauges(self):
+        key, _result, _s, _prof, _spans, metrics = parallel._run_payload(
+            ("web_apache", "baseline",
+             {"n_records": RECORDS, "scale": SCALE, "persistent": False},
+             None))
+        assert key == parallel._key("web_apache", "baseline",
+                                    {"n_records": RECORDS, "scale": SCALE})
+        assert "gauges" not in metrics
+        assert metrics["counters"]["repro_runs_total"][0]["value"] == 1
+
+
+class TestBrokenPool:
+    def test_worker_crash_falls_back_to_serial(self, monkeypatch):
+        """A pool worker dying mid-batch loses its whole batch; the
+        serial fallback must still return every spec exactly once,
+        equal to a serial run, and count the broken pool."""
+        from repro.obs import PROFILER
+        test_pid = os.getpid()
+
+        def crash_in_worker():
+            if os.getpid() != test_pid:
+                os._exit(1)
+            return runner.SCHEMES["baseline"]()
+
+        monkeypatch.setitem(runner.SCHEMES, "crash_in_worker",
+                            crash_in_worker)
+        specs = [("web_apache", "baseline"), ("web_apache", "nl"),
+                 ("web_apache", "crash_in_worker"),
+                 ("oltp_db_a", "baseline"), ("oltp_db_a", "nl"),
+                 ("web_apache", "baseline")]
+        PROFILER.reset()
+        pooled = run_many(specs, jobs=2, n_records=RECORDS, scale=SCALE,
+                          persistent=False)
+        assert PROFILER.counters["run_many.broken_pools"] == 1
+        runner.clear_cache()
+        serial = run_many(specs, jobs=1, n_records=RECORDS, scale=SCALE,
+                          persistent=False)
+        assert [(r.workload, r.scheme) for r in pooled] == \
+            [(w, s) for w, s in specs]
+        for a, b in zip(pooled, serial):
+            assert asdict(a.stats) == asdict(b.stats)
 
 
 class TestMapParallel:
