@@ -9,9 +9,8 @@ composite):
   (``run(fast=False)``) over a latency config that recomputes the NoC
   mesh average on every fill request, exactly as the code did before the
   round-trip memoisation landed;
-* **current** — the default path: ``run(fast=None)`` picks the batched
-  no-prefetcher fast loop or the vectorized region-stepping loop,
-  whichever the configuration is eligible for.
+* **current** — the default path: ``run()`` runs the vectorized
+  region-stepping loop, with or without a prefetcher.
 
 Both must produce bit-identical statistics (modulo the
 ``extra["engine_path"]`` label, which *names* the loop and therefore
@@ -44,7 +43,7 @@ OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 
 #: (scheme, expected current engine path, minimum current/legacy speedup)
 MATRIX = (
-    ("baseline", "fast", 1.5),
+    ("baseline", "vectorized", 1.5),
     ("sn4l", "vectorized", 1.15),
     ("sn4l_dis", "vectorized", 1.15),
     ("sn4l_dis_btb", "vectorized", 1.1),
@@ -85,8 +84,7 @@ def _simulate(scheme: str, legacy: bool):
                             prefetcher=prefetcher, program=gen.program,
                             latency=latency)
     start = time.perf_counter()
-    stats = sim.run(warmup=BENCH_RECORDS // 3,
-                    fast=False if legacy else None)
+    stats = sim.run(warmup=BENCH_RECORDS // 3, fast=not legacy)
     elapsed = time.perf_counter() - start
     return stats, BENCH_RECORDS / elapsed, sim.engine_path
 

@@ -24,7 +24,6 @@ its branches buffered next to the BTB.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
@@ -50,9 +49,9 @@ _SRC_DIS = 1
 #: When set, :meth:`ProactivePrefetcher.attach` shadows the per-access
 #: hot path (``on_demand`` / ``on_fill`` / ``_drain``) with closures
 #: compiled against the simulator.  The plain methods remain the
-#: readable reference implementation; set ``REPRO_NO_COMPILE=1`` (or
-#: monkeypatch this flag) to run on them — results are identical.
-COMPILE_HOT_PATH = os.environ.get("REPRO_NO_COMPILE", "") == ""
+#: readable reference implementation; tests monkeypatch this flag off
+#: to run on them — results are identical.
+COMPILE_HOT_PATH = True
 
 FIXED_OFFSET_BITS = 4     # instruction offset within a 16-instruction block
 VARIABLE_OFFSET_BITS = 6  # byte offset within a 64-byte block
@@ -277,7 +276,7 @@ class ProactivePrefetcher(Prefetcher):
 
         Returns ``(drain, on_demand, on_fill)`` closures; :meth:`attach`
         installs them over the plain methods, which remain the readable
-        reference implementation (``REPRO_NO_COMPILE=1`` runs on them).
+        reference implementation (``COMPILE_HOT_PATH`` off runs on them).
         Everything fixed for the simulator's lifetime — structure queues,
         RLU filter, cache geometry, DisTable tagging, the pre-decode
         steady state and the prefetch-issue path — is bound once and

@@ -49,12 +49,6 @@ CONTRACT: Tuple[EnvVar, ...] = (
     EnvVar("REPRO_JOBS", "int", "",
            "Worker-process count for parallel sweeps and the lint "
            "file pass; empty/unset means serial."),
-    EnvVar("REPRO_NO_COMPILE", "flag", "",
-           "Set to disable the specialised hot-path dispatch in the "
-           "proactive prefetcher (debugging aid)."),
-    EnvVar("REPRO_NO_NUMPY", "flag", None,
-           "Set to force the pure-python struct-of-arrays fallback "
-           "even when numpy imports."),
     EnvVar("REPRO_TRACE_SAMPLE", "float", "",
            "Trace sampling rate in [0, 1]; empty/unset falls back to "
            "the tracer's compiled-in default."),

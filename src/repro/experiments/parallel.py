@@ -215,7 +215,8 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
     ``progress``, when given, is called with each spec's result as it
     lands: in input order serially; under a pool, once per unique spec,
     when that spec's program batch returns (batches in submission
-    order) — the service's job event stream hangs off this hook.
+    order), or from the serial fallback if the pool breaks first — the
+    service's job event stream hangs off this hook.
     """
     normalised = [_normalise(s, common) for s in specs]
     n_jobs = resolve_jobs(jobs)
@@ -251,12 +252,14 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
             payloads.append((w, s, p, leg))
         batches = _program_batches(payloads, n_jobs)
         workers = min(n_jobs, len(batches))
+        delivered = set()
         pool_start = time.perf_counter()
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 busy = 0.0
                 for batch in pool.map(_worker, batches):
                     for key, result, elapsed, snap, spans, metrics in batch:
+                        delivered.add(key)
                         runner.seed_cache(key, result)
                         PROFILER.record("run_many.worker", elapsed)
                         PROFILER.merge(snap)
@@ -275,10 +278,14 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
             PROFILER.incr("run_many.worker_runs", len(payloads))
         except BrokenProcessPool:
             # Worker crashed (e.g. fork-hostile environment): degrade to
-            # serial execution rather than failing the experiment.
+            # serial execution rather than failing the experiment.  The
+            # specs the pool never delivered still report progress.
             PROFILER.incr("run_many.broken_pools")
-            for w, s, p, _leg in payloads:
-                run_scheme(w, s, **p)
+            for key, (w, s, p) in todo.items():
+                if key not in delivered:
+                    result = run_scheme(w, s, **p)
+                    if progress is not None:
+                        progress(result)
 
     return [run_scheme(w, s, **p) for w, s, p in normalised]
 

@@ -23,7 +23,6 @@ stalls (Table I).
 from __future__ import annotations
 
 import gc
-import warnings
 from bisect import bisect_left
 from typing import Optional
 
@@ -112,12 +111,8 @@ class FrontendSimulator:
             from .datapath import DataPathModel
             self.datapath = DataPathModel(self)
         self._call_depth = 0
-        #: True when an explicit ``run(fast=True)`` had to fall back to
-        #: the generic loop (also surfaced in ``stats.extra``).
-        self.fast_path_downgraded = False
-        self._downgrade_warned = False
-        #: Engine loop the last ``run()`` selected: ``"generic"``,
-        #: ``"vectorized"`` or ``"fast"`` (surfaced in ``stats.extra``).
+        #: Engine loop the last ``run()`` selected: ``"vectorized"`` or
+        #: ``"generic"`` (surfaced in ``stats.extra``).
         self.engine_path = "generic"
         self._vector_view = None
         self.prefetcher = prefetcher
@@ -146,8 +141,9 @@ class FrontendSimulator:
 
         Returns the live :class:`~repro.obs.telemetry.ComponentCounters`;
         sources come from ``issue_prefetch(..., source=...)`` (defaulting
-        to the attached prefetcher's name).  Disables the batched fast
-        path, like any other observer.
+        to the attached prefetcher's name).  The vectorized loop keeps
+        running; attribution happens in the shared fill and demand
+        helpers it delegates to.
         """
         if self.component_counters is None:
             from ..obs.telemetry import ComponentCounters
@@ -581,57 +577,32 @@ class FrontendSimulator:
                else self.config.backend_cpi_extra)
         self.stats.backend_cycles += int(self.stats.instructions * cpi)
         self.stats.extra["engine_path"] = self.engine_path
-        if self.fast_path_downgraded:
-            self.stats.extra["fast_path_downgraded"] = 1.0
         return self.stats
 
-    def run(self, warmup: int = 0, fast: Optional[bool] = None
-            ) -> FrontendStats:
+    def run(self, warmup: int = 0, fast: bool = True) -> FrontendStats:
         """Simulate the whole trace and return the filled statistics.
 
         The first ``warmup`` records warm caches, BTB and predictor but
         are excluded from the returned statistics.
 
-        ``fast=None`` (the default) picks the best batched loop the
-        configuration is eligible for — the inlined no-prefetcher fast
-        path, or the vectorized region-stepping loop for prefetcher /
-        observer configurations — both bit-identical to the generic
-        per-record loop, which ``fast=False`` forces (the throughput
-        microbenchmark uses that to measure the gap).
+        With ``fast`` (the default) the vectorized region-stepping loop
+        runs, bit-identical to the generic per-record loop, which
+        ``fast=False`` forces (the throughput microbenchmark uses that
+        to measure the gap).  A datapath model hooks every record, so it
+        always runs on the generic loop.
         """
         records = getattr(self.trace, "records", None)
         if records is None:
             records = list(self.trace)
         n = len(records)
-        if fast is False:
-            path = "generic"
-        elif self._fast_path_eligible():
-            path = "fast"
-        elif self._vector_path_eligible():
-            path = "vectorized"
-        else:
-            path = "generic"
-            if fast:
-                # An explicit fast=True that cannot be honoured must not
-                # be mistaken for a batched-path measurement downstream.
-                self.fast_path_downgraded = True
-                if not self._downgrade_warned:
-                    self._downgrade_warned = True
-                    warnings.warn(
-                        "fast=True requested but this configuration is "
-                        "not fast-path eligible (a datapath model "
-                        "defeats batching); running the generic "
-                        "per-record loop",
-                        RuntimeWarning, stacklevel=2)
-        self.engine_path = path
-        if path == "fast":
-            span = self._run_span_fast
-        elif path == "vectorized":
+        if fast and self.datapath is None:
+            self.engine_path = "vectorized"
             self._vector_view = engine_view(records, self.l1i.block_size,
                                             self.l1i.n_sets,
                                             self.config.fetch_width)
             span = self._run_span_vector
         else:
+            self.engine_path = "generic"
             span = self._run_span
         # The simulation allocates in refcount-clean patterns (no cycles
         # survive a record), so the cyclic collector only adds pauses;
@@ -651,163 +622,15 @@ class FrontendSimulator:
                 gc.enable()
         return self.finalize()
 
-    def _fast_path_eligible(self) -> bool:
-        """True when no per-record hook can fire besides the core
-        demand/delivery/branch path the fast loop inlines."""
-        return (self.prefetcher is None
-                and self.datapath is None
-                and self.event_log is None
-                and self.component_counters is None
-                and self.l1_prefetch_buffer is None
-                and self.btb_prefetch_buffer is None
-                and self.config.wrong_path_depth == 0
-                and self.runahead_blocked_until == 0)
-
-    def _vector_path_eligible(self) -> bool:
-        """True when the region-stepping vectorized loop applies.
-
-        It supports everything the generic loop does — prefetchers,
-        event logs, component telemetry, prefetch buffers, wrong-path
-        fetch — because all of those fire from the shared slow helpers
-        it delegates to.  Only the datapath model, whose backend hook
-        runs on *every* record, defeats batching.
-        """
-        return self.datapath is None
-
     def _run_span(self, records, start: int, stop: int) -> None:
-        """Generic per-record stepping (pre-fast-path behaviour)."""
+        """Generic per-record stepping: the readable reference loop."""
         process = self.process_record
         for idx in range(start, stop):
             process(idx, records[idx])
 
-    def _run_span_fast(self, records, start: int, stop: int) -> None:
-        """Batched no-prefetcher loop: retire consecutive L1i hits
-        without the full per-record call chain.
-
-        Inlines ``process_record`` + ``_demand_access`` for the case
-        guarded by :meth:`_fast_path_eligible`; every counter update and
-        cycle charge replicates the generic path exactly, so results are
-        bit-identical.  The simulator clock is kept in a local and synced
-        to ``self.cycle`` around the (rare) calls back into shared
-        helpers.
-        """
-        stats = self.stats
-        cfg = self.config
-        width = cfg.fetch_width
-        perfect = cfg.perfect_l1i
-        l1i = self.l1i
-        block = l1i.block_size
-        n_sets = l1i.n_sets
-        sets = l1i._sets
-        mshr_entries = self.mshr._entries
-        llc_access = self.llc.access
-        latency_request = self.latency.request
-        handle_branch = self._handle_branch
-        not_branch = BranchKind.NOT_BRANCH
-        call_kind = BranchKind.CALL
-        indirect_kind = BranchKind.INDIRECT
-        return_kind = BranchKind.RETURN
-        cycle = self.cycle
-
-        rec_start = self.prefetch_clock
-        for idx in range(start, stop):
-            record = records[idx]
-            self._demand_index = idx
-            rec_start = cycle
-            if mshr_entries:
-                # Manually issued prefetches (no attached prefetcher can
-                # exist here) still drain through the shared path.
-                self.cycle = cycle
-                self._drain_fills()
-
-            stats.demand_accesses += 1
-            stats.cache_lookups += 1
-            if perfect:
-                stats.demand_hits += 1
-            else:
-                line = record.line
-                key = line // block
-                cset = sets[key % n_sets]
-                entry = cset.get(key)
-                if entry is not None:
-                    cset.move_to_end(key)
-                    stats.demand_hits += 1
-                    if entry.is_prefetch:
-                        stats.prefetches_useful += 1
-                        lat = entry.fill_latency
-                        stats.covered_latency += lat
-                        stats.prefetched_latency += lat
-                        entry.is_prefetch = False
-                else:
-                    inflight = mshr_entries.get(line) if mshr_entries \
-                        else None
-                    if inflight is not None:
-                        remaining = inflight.ready_cycle - cycle
-                        if remaining < 0:
-                            remaining = 0
-                        full_latency = inflight.ready_cycle - \
-                            inflight.issue_cycle
-                        if inflight.is_prefetch:
-                            stats.demand_late_prefetch += 1
-                            stats.prefetches_useful += 1
-                            stats.covered_latency += full_latency - remaining
-                            stats.prefetched_latency += full_latency
-                        else:
-                            stats.demand_misses += 1
-                        if record.seq:
-                            stats.seq_misses += 1
-                        else:
-                            stats.disc_misses += 1
-                        del mshr_entries[line]
-                        if remaining > 0:
-                            stats.icache_stall_cycles += remaining
-                            cycle += remaining
-                        self.cycle = cycle
-                        self._apply_fill(line, is_prefetch=False,
-                                         fill_latency=full_latency)
-                    else:
-                        # Full demand miss.
-                        stats.demand_misses += 1
-                        if record.seq:
-                            stats.seq_misses += 1
-                        else:
-                            stats.disc_misses += 1
-                        llc_hit = llc_access(line, is_instruction=True)
-                        lat = latency_request(cycle, llc_hit=llc_hit)
-                        if lat > 0:
-                            stats.icache_stall_cycles += lat
-                            cycle += lat
-                        victim = l1i.insert(line, is_prefetch=False,
-                                            is_instruction=True)
-                        resident = cset.get(key)
-                        if resident is not None:
-                            resident.fill_latency = lat
-                        if victim is not None and victim.is_prefetch:
-                            stats.prefetches_useless += 1
-
-            n_instr = record.n_instr
-            stats.instructions += n_instr
-            delivery = -(-n_instr // width)
-            stats.delivery_cycles += delivery
-            cycle += delivery
-
-            if record.branch_kind is not not_branch:
-                if record.taken:
-                    kind = record.branch_kind
-                    if kind is call_kind or kind is indirect_kind:
-                        if self._call_depth < 64:
-                            self._call_depth += 1
-                    elif kind is return_kind:
-                        if self._call_depth > 0:
-                            self._call_depth -= 1
-                self.cycle = cycle
-                handle_branch(record)
-                cycle = self.cycle
-        self.cycle = cycle
-        self.prefetch_clock = rec_start
-
     def _run_span_vector(self, records, start: int, stop: int) -> None:
-        """Region-stepping batched loop for prefetcher/observer configs.
+        """Region-stepping batched loop: every configuration without a
+        datapath model.
 
         Consumes the struct-of-arrays
         :class:`~repro.workloads.soa.EngineView` built by :meth:`run`
@@ -821,7 +644,7 @@ class FrontendSimulator:
         to the same helpers the generic loop uses, with ``self.cycle``
         and ``self.prefetch_clock`` synced around each delegation, so
         counters and event streams are bit-identical to
-        :meth:`_run_span`.  Eligibility: :meth:`_vector_path_eligible`.
+        :meth:`_run_span`.
         """
         view = self._vector_view
         lines = view.lines

@@ -23,8 +23,8 @@ through the engine, the prefetchers, the experiment runner and the CLI:
 
 Everything here is opt-in: with no event log attached and no profiler
 consumer, the default simulation path is unchanged (the engine's
-``event_log is None`` fast path and fast-path eligibility are
-preserved).
+``event_log is None`` checks keep every inlined leg of the vectorized
+loop).
 """
 
 from .bench import BenchCell, MATRICES, run_cell, run_matrix

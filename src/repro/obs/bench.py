@@ -7,8 +7,9 @@ jobs) cells at a fixed trace length — and records, per cell:
 * a **behaviour digest** (the deterministic engine counters: cycles,
   misses, prefetches, …) so a run that got *faster by computing the
   wrong thing* is caught as loudly as a slowdown;
-* **cache-hit and fast-path counters** (persistent-store session
-  counters, fast-path eligibility/downgrade flags);
+* **cache-hit counters and the engine path** (persistent-store session
+  counters, and the engine loop that ran: ``vectorized`` or
+  ``generic``);
 * the run's **content fingerprint** (same scheme as the result store,
   code salt included) and the current **git revision**.
 
@@ -183,12 +184,10 @@ def _run_serial_cell(cell: BenchCell, repeats: int
         sim = FrontendSimulator(trace, config=FrontendConfig(**overrides),
                                 prefetcher=prefetcher,
                                 program=generator.program)
-        flags["fast_path_eligible"] = sim._fast_path_eligible()
         start = time.perf_counter()
         stats = sim.run(warmup=warmup)
         wall.append(time.perf_counter() - start)
-        flags["fast_path_downgraded"] = bool(
-            stats.extra.get("fast_path_downgraded"))
+        flags["engine_path"] = sim.engine_path
         d = _digest(stats)
         if digest is None:
             digest = d
@@ -215,6 +214,7 @@ def _run_pool_cell(cell: BenchCell, repeats: int
     get_trace(cell.workload, n_records=cell.n_records, scale=cell.scale)
     wall: List[float] = []
     digest: Optional[Dict[str, int]] = None
+    flags: Dict[str, Any] = {}
     for rep in range(repeats):
         global _POOL_TOKEN
         _POOL_TOKEN += 1
@@ -231,14 +231,14 @@ def _run_pool_cell(cell: BenchCell, repeats: int
                            n_records=cell.n_records, scale=cell.scale,
                            persistent=False)
         wall.append(time.perf_counter() - start)
+        flags["engine_path"] = results[0].stats.extra.get("engine_path")
         d = _digest(results[0].stats)
         if digest is None:
             digest = d
         elif digest != d:               # pragma: no cover - engine bug
             raise AssertionError(
                 f"non-deterministic benchmark cell {cell.key()}")
-    return wall, digest, {"fast_path_eligible": cell.scheme == "baseline",
-                          "fast_path_downgraded": False}
+    return wall, digest, flags
 
 
 def run_cell(cell: BenchCell, repeats: int = 3) -> Dict[str, Any]:

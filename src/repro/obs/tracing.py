@@ -29,8 +29,8 @@ Two tracing planes live here:
   ``<cache root>/service/traces/``, sharded like the result store.
 
 Engine event tracing is strictly opt-in: a simulator with ``event_log
-is None`` takes the exact pre-observability path, including fast-path
-eligibility.  Span tracing costs one context-variable read when no
+is None`` takes the exact pre-observability path, every inlined leg of
+the vectorized loop included.  Span tracing costs one context-variable read when no
 trace is active, and can be disabled wholesale with
 ``REPRO_TRACE_SAMPLE=0``.
 """

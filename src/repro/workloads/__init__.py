@@ -17,7 +17,7 @@ from .profiles import (
     workload_names,
 )
 from .serialize import load_trace, save_trace
-from .soa import HAVE_NUMPY, EngineView, RecordBatch, engine_view
+from .soa import EngineView, engine_view
 from .trace import NO_ADDR, FetchRecord, Trace, mark_sequential
 from .tracegen import TraceGenerator, clear_cache, get_generator, get_trace
 
@@ -46,8 +46,6 @@ __all__ = [
     "clear_cache",
     "save_trace",
     "load_trace",
-    "RecordBatch",
     "EngineView",
     "engine_view",
-    "HAVE_NUMPY",
 ]

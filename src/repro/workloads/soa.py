@@ -2,43 +2,23 @@
 
 The generic engine loop walks a list of :class:`FetchRecord` objects and
 pays an attribute lookup for every field it touches, every record, every
-run.  The vectorized engine core instead consumes a :class:`RecordBatch`:
-parallel arrays of the per-record fields, plus derived per-run arrays
-(cache-set indices, delivery cycles, branch positions) computed once for
-the whole trace — as numpy ufunc sweeps when numpy is importable, as
-plain list comprehensions otherwise.
-
-numpy is an accelerator, never a requirement, for this module: set
-``REPRO_NO_NUMPY=1`` (or pass ``use_numpy=False``) to force the pure
-python fallback, which produces bit-identical arrays.  CI runs the test
-suite in both modes.
+run.  The vectorized engine core instead consumes an
+:class:`EngineView`: parallel lists of the per-record fields, plus
+derived per-run lists (cache-set indices, delivery cycles, branch
+positions) computed once for the whole trace.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence
-
-_np = None
-if not os.environ.get("REPRO_NO_NUMPY"):
-    try:
-        import numpy as _np  # type: ignore[no-redef]
-    except ImportError:  # pragma: no cover - numpy is baked into CI images
-        _np = None
-
-#: True when the numpy acceleration is active (import succeeded and
-#: ``REPRO_NO_NUMPY`` is unset).  Tests flip behaviour per call through
-#: ``use_numpy=`` instead of mutating this.
-HAVE_NUMPY = _np is not None
+from typing import List, Sequence
 
 
 class EngineView:
     """Per-run arrays the vectorized engine span loop indexes.
 
     All fields are plain python lists of plain python ints/bools — list
-    indexing beats both attribute access on ``__slots__`` records and
-    numpy scalar extraction inside a hot python loop.  numpy is used to
-    *derive* the arrays, not to hold them.
+    indexing beats attribute access on ``__slots__`` records inside a
+    hot python loop.
     """
 
     __slots__ = ("lines", "keys", "set_idx", "n_instr", "delivery",
@@ -60,65 +40,23 @@ class EngineView:
         self.branch_positions = branch_positions
 
 
-class RecordBatch:
-    """SoA snapshot of a fetch-record sequence.
-
-    The snapshot is taken eagerly at construction: later mutation of the
-    source records (e.g. ``mark_sequential``) does not leak into a batch
-    already built, which is why the engine builds one per ``run()``.
-    """
-
-    __slots__ = ("n", "lines", "n_instr", "kinds", "taken")
-
-    def __init__(self, lines: List[int], n_instr: List[int],
-                 kinds: List[int], taken: List[bool]):
-        self.n = len(lines)
-        self.lines = lines
-        self.n_instr = n_instr
-        self.kinds = kinds
-        self.taken = taken
-
-    @classmethod
-    def from_records(cls, records: Sequence) -> "RecordBatch":
-        return cls([r.line for r in records],
-                   [r.n_instr for r in records],
-                   [int(r.branch_kind) for r in records],
-                   [r.taken for r in records])
-
-    def engine_view(self, block_size: int, n_sets: int, width: int,
-                    use_numpy: Optional[bool] = None) -> EngineView:
-        """Derive the per-run arrays for one cache geometry / fetch width.
-
-        ``use_numpy=None`` follows module availability; ``False`` forces
-        the pure-python fallback (``True`` with numpy missing raises).
-        """
-        if use_numpy is None:
-            use_numpy = HAVE_NUMPY
-        if use_numpy and _np is None:
-            raise RuntimeError("numpy requested but not importable "
-                               "(REPRO_NO_NUMPY set or numpy missing)")
-        if use_numpy:
-            lines = _np.asarray(self.lines, dtype=_np.int64)
-            keys = lines // block_size
-            set_idx = keys % n_sets
-            n_instr = _np.asarray(self.n_instr, dtype=_np.int64)
-            delivery = -(-n_instr // width)
-            kinds = _np.asarray(self.kinds, dtype=_np.int64)
-            branch_positions = _np.flatnonzero(kinds).tolist()
-            return EngineView(self.lines, keys.tolist(), set_idx.tolist(),
-                              self.n_instr, delivery.tolist(), self.kinds,
-                              self.taken, branch_positions)
-        keys = [line // block_size for line in self.lines]
-        return EngineView(self.lines, keys,
-                          [k % n_sets for k in keys],
-                          self.n_instr,
-                          [-(-n // width) for n in self.n_instr],
-                          self.kinds, self.taken,
-                          [i for i, k in enumerate(self.kinds) if k])
-
-
 def engine_view(records: Sequence, block_size: int, n_sets: int,
-                width: int, use_numpy: Optional[bool] = None) -> EngineView:
-    """One-shot helper: snapshot ``records`` and derive the run arrays."""
-    return RecordBatch.from_records(records).engine_view(
-        block_size, n_sets, width, use_numpy=use_numpy)
+                width: int) -> EngineView:
+    """Snapshot ``records`` and derive the per-run arrays for one cache
+    geometry and fetch width.
+
+    The snapshot is taken eagerly: later mutation of the source records
+    (e.g. ``mark_sequential``) does not leak into a view already built,
+    which is why the engine builds one per ``run()``.
+    """
+    lines = [r.line for r in records]
+    n_instr = [r.n_instr for r in records]
+    kinds = [int(r.branch_kind) for r in records]
+    keys = [line // block_size for line in lines]
+    return EngineView(lines, keys,
+                      [k % n_sets for k in keys],
+                      n_instr,
+                      [-(-n // width) for n in n_instr],
+                      kinds,
+                      [r.taken for r in records],
+                      [i for i, k in enumerate(kinds) if k])

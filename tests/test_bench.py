@@ -99,7 +99,7 @@ class TestBenchHistory:
         assert record["digest"]["instructions"] > 0
         assert record["fingerprint"]
         assert record["cell"] == CELL.key()
-        assert record["counters"]["fast_path_eligible"] is True
+        assert record["counters"]["engine_path"] == "vectorized"
         # The record is JSON-serialisable as-is (history line contract).
         json.dumps(record)
 
@@ -154,6 +154,7 @@ class TestBenchHistory:
                                n_records=RECORDS, scale=SCALE, jobs=2)
         record = bench.run_cell(cell, repeats=1)
         assert record["jobs"] == 2
+        assert record["counters"]["engine_path"] == "vectorized"
         serial = bench.run_cell(CELL, repeats=1)
         assert record["digest"] == serial["digest"]
 

@@ -7,12 +7,12 @@ tests pin that down three ways:
 
 * a **behaviour digest** — the full ``FrontendStats`` plus every
   prefetcher/BTB/predictor/LLC/MSHR structure counter — must be equal
-  between ``run(fast=None)`` and ``run(fast=False)`` for *every*
-  registered scheme on two contrasting workload profiles;
+  between ``run()`` and ``run(fast=False)`` for *every* registered
+  scheme on two contrasting workload profiles;
 * the compiled hot path (``repro.core.proactive``) must match its
   uncompiled reference (``COMPILE_HOT_PATH`` off);
-* the numpy-derived SoA arrays must match the pure-python fallback, and
-  a simulation run on either must digest identically.
+* the SoA view must snapshot its records and derive the per-run arrays
+  exactly as the generic loop computes them per record.
 
 Trace reconciliation (event stream vs aggregate counters) across all
 schemes rides in the same module because the event-logged run exercises
@@ -26,9 +26,8 @@ import repro.core.proactive as pa
 from repro.experiments.runner import build_scheme, scheme_names
 from repro.frontend import FrontendConfig, FrontendSimulator
 from repro.obs import reconcile, trace_run
-from repro.workloads import get_generator, get_trace
-from repro.workloads import soa
-from repro.workloads.soa import RecordBatch, engine_view
+from repro.workloads import FetchRecord, get_generator, get_trace
+from repro.workloads.soa import engine_view
 
 WORKLOADS = ("web_frontend", "oltp_db_a")
 N = 1600
@@ -74,7 +73,7 @@ def _digest(sim, prefetcher):
     return out
 
 
-def _run(scheme, workload, fast):
+def _run(scheme, workload, fast=True):
     prefetcher, overrides = build_scheme(scheme)
     sim = FrontendSimulator(
         get_trace(workload, n_records=N),
@@ -88,18 +87,18 @@ def _run(scheme, workload, fast):
 @pytest.mark.parametrize("scheme", scheme_names())
 def test_vectorized_digest_matches_generic(scheme):
     for workload in WORKLOADS:
-        auto, auto_path = _run(scheme, workload, fast=None)
+        auto, auto_path = _run(scheme, workload)
         generic, generic_path = _run(scheme, workload, fast=False)
         assert generic_path == "generic"
-        assert auto_path in ("fast", "vectorized")
+        assert auto_path == "vectorized"
         assert auto == generic, (scheme, workload, auto_path)
 
 
 @pytest.mark.parametrize("scheme", ("sn4l", "sn4l_dis", "sn4l_dis_btb"))
 def test_compiled_hot_path_matches_reference(scheme, monkeypatch):
-    compiled, _ = _run(scheme, "web_frontend", fast=None)
+    compiled, _ = _run(scheme, "web_frontend")
     monkeypatch.setattr(pa, "COMPILE_HOT_PATH", False)
-    reference, path = _run(scheme, "web_frontend", fast=None)
+    reference, path = _run(scheme, "web_frontend")
     assert path == "vectorized"
     assert compiled == reference, scheme
 
@@ -112,31 +111,14 @@ def test_trace_reconciles_on_default_path(scheme, workload, tmp_path):
     assert reconcile(stats, counts) == {}
 
 
-class TestSoaFallback:
-    def test_numpy_and_python_views_are_identical(self):
-        records = get_trace("web_frontend", n_records=N).records
-        batch = RecordBatch.from_records(records)
-        if not soa.HAVE_NUMPY:
-            pytest.skip("numpy unavailable in this environment")
-        np_view = batch.engine_view(64, 64, 4, use_numpy=True)
-        py_view = batch.engine_view(64, 64, 4, use_numpy=False)
-        for field in ("lines", "keys", "set_idx", "n_instr", "delivery",
-                      "kinds", "taken", "branch_positions"):
-            assert getattr(np_view, field) == getattr(py_view, field), field
-
-    def test_simulation_digest_identical_without_numpy(self, monkeypatch):
-        with_numpy, _ = _run("sn4l_dis_btb", "web_frontend", fast=None)
-        monkeypatch.setattr(soa, "HAVE_NUMPY", False)
-        without, path = _run("sn4l_dis_btb", "web_frontend", fast=None)
-        assert path == "vectorized"
-        assert with_numpy == without
-
-    def test_batch_snapshot_does_not_alias_records(self):
-        records = get_trace("web_frontend", n_records=32).records
-        batch = RecordBatch.from_records(records)
-        before = list(batch.lines)
+class TestEngineView:
+    def test_view_snapshot_does_not_alias_records(self):
+        records = [FetchRecord(line=i * 64, first_pc=i * 64, n_instr=4,
+                               seq=False) for i in range(8)]
+        view = engine_view(records, 64, 64, 4)
+        before = list(view.lines)
         records[0].line = records[0].line + 64
-        assert batch.lines == before
+        assert view.lines == before
 
     def test_engine_view_derivations(self):
         records = get_trace("oltp_db_a", n_records=256).records
@@ -148,11 +130,3 @@ class TestSoaFallback:
         assert positions == sorted(positions)
         assert positions == [i for i, r in enumerate(records)
                              if int(r.branch_kind)]
-
-    def test_numpy_request_without_numpy_raises(self, monkeypatch):
-        records = get_trace("web_frontend", n_records=8).records
-        batch = RecordBatch.from_records(records)
-        monkeypatch.setattr(soa, "_np", None)
-        monkeypatch.setattr(soa, "HAVE_NUMPY", False)
-        with pytest.raises(RuntimeError, match="numpy requested"):
-            batch.engine_view(64, 64, 4, use_numpy=True)

@@ -214,6 +214,42 @@ class TestPooledMetrics:
                  persistent=False)
         assert self._engine_counts() == serial
 
+    def test_served_compare_counts_match_serial(self, tmp_path,
+                                                monkeypatch):
+        """The served leg: a compare job through ``repro serve`` shows
+        the same engine counts in ``/metricsz`` as a serial run of its
+        specs, whether the job runs them serially or through the pool."""
+        from repro.experiments import store
+        from repro.obs.metrics import REGISTRY, parse_prometheus_text
+        from repro.service import ServiceClient, serve_in_thread
+
+        schemes = ["nl", "n4l"]
+        REGISTRY.reset_values()
+        run_many([("web_apache", s) for s in ["baseline"] + schemes],
+                 jobs=1, n_records=RECORDS, scale=SCALE, persistent=False)
+        serial = self._engine_counts()
+        assert serial == (3, 3 * RECORDS, 3)
+        for jobs in (1, 2):
+            monkeypatch.setenv(store.ENV_CACHE_DIR,
+                               str(tmp_path / f"served-jobs{jobs}"))
+            store.reset_store()
+            runner.clear_cache()
+            REGISTRY.reset_values()
+            with serve_in_thread(workers=1) as handle:
+                client = ServiceClient(*handle.address, timeout=120.0)
+                job = client.wait(client.submit(
+                    "compare", workload="web_apache", schemes=schemes,
+                    n_records=RECORDS, scale=SCALE, jobs=jobs), timeout=300)
+                parsed = parse_prometheus_text(client.metricsz())
+            assert job["state"] == "done", job
+
+            def total(series):
+                return sum(v for _labels, v in parsed.get(series, []))
+            served = (total("repro_runs_total"),
+                      total("repro_records_simulated_total"),
+                      total("repro_run_seconds_count"))
+            assert served == serial, jobs
+
     def test_worker_snapshot_carries_no_gauges(self):
         key, _result, _s, _prof, _spans, metrics = parallel._run_payload(
             ("web_apache", "baseline",
@@ -245,9 +281,14 @@ class TestBrokenPool:
                  ("oltp_db_a", "baseline"), ("oltp_db_a", "nl"),
                  ("web_apache", "baseline")]
         PROFILER.reset()
+        reported = []
         pooled = run_many(specs, jobs=2, n_records=RECORDS, scale=SCALE,
-                          persistent=False)
+                          persistent=False, progress=reported.append)
         assert PROFILER.counters["run_many.broken_pools"] == 1
+        # Every unique spec reports progress exactly once, whether the
+        # pool delivered it before breaking or the fallback re-ran it.
+        assert sorted((r.workload, r.scheme) for r in reported) == \
+            sorted(set(specs))
         runner.clear_cache()
         serial = run_many(specs, jobs=1, n_records=RECORDS, scale=SCALE,
                           persistent=False)
