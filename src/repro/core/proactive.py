@@ -154,12 +154,17 @@ class ProactivePrefetcher(Prefetcher):
                 "variable-length mode stores branch footprints in the "
                 "DV-LLC; build the simulator with FrontendConfig(dv_llc=True)"
             )
+        # The program's ISA picks the pre-decode leg, once: the
+        # memoised fixed-ISA leg needs a fixed-length segment, and any
+        # other pairing decodes each pass with ``decode_block``.
+        program = getattr(sim, "program", None)
+        self._fixed_leg = not self.variable_length and (
+            program is None or not program.variable_length)
         # Front-load the segment decode: the shared per-Program memo is
         # filled once at attach time, so no simulated access ever pays a
         # cold decode (behaviour and per-pass counters are unchanged).
-        if ((self.enable_dis or self.enable_btb)
-                and not self.variable_length
-                and getattr(sim, "program", None) is not None):
+        if ((self.enable_dis or self.enable_btb) and self._fixed_leg
+                and program is not None):
             if self._pd is None:
                 self._pd = sim.predecoder()
             self._pd.prewarm_fixed()
@@ -365,6 +370,7 @@ class ProactivePrefetcher(Prefetcher):
         enable_btb = self.enable_btb
         do_dis = enable_dis or enable_btb
         variable_length = self.variable_length
+        fixed_leg = self._fixed_leg
         chain_width = self.chain_width
         max_depth = self.max_depth
         predecode_delay = self.predecode_delay
@@ -432,8 +438,8 @@ class ProactivePrefetcher(Prefetcher):
                 offset = None
             if offset is None and not enable_btb:
                 return
-            if variable_length:
-                pf._predecode_block_vl(line, depth, offset)
+            if not fixed_leg:
+                pf._predecode_block_decoded(line, depth, offset)
                 return
             # Fixed-ISA steady state: memoised block info + prepared
             # BTB-buffer entry.
@@ -537,7 +543,7 @@ class ProactivePrefetcher(Prefetcher):
                         pending[line] = depth
                         if len(pending) > 64:
                             del pending[next(iter(pending))]
-                    elif variable_length:
+                    elif not fixed_leg:
                         predecode(line, depth)
                     else:
                         # predecode(), inlined for the fixed-length ISA
@@ -865,8 +871,8 @@ class ProactivePrefetcher(Prefetcher):
         offset = self.distable.lookup(line) if self.enable_dis else None
         if offset is None and not self.enable_btb:
             return
-        if self.variable_length:
-            self._predecode_block_vl(line, depth, offset)
+        if not self._fixed_leg:
+            self._predecode_block_decoded(line, depth, offset)
             return
 
         # Fixed-ISA fast leg: the pre-decoder's cached (branches,
@@ -910,12 +916,18 @@ class ProactivePrefetcher(Prefetcher):
         self.dis_prefetch_candidates += 1
         self._push_candidate(block_base(target), depth + 1, _SRC_DIS)
 
-    def _predecode_block_vl(self, line: int, depth: int,
-                            offset: Optional[int]) -> None:
-        """Variable-length leg: footprint-driven, per-pass decode."""
-        footprint = self.sim.llc.get_footprint(line)
-        if footprint is None and offset is None:
-            return  # nothing decodable without boundaries
+    def _predecode_block_decoded(self, line: int, depth: int,
+                                 offset: Optional[int]) -> None:
+        """Per-pass ``decode_block`` leg, for every pairing the fixed
+        leg cannot serve.  A variable-length prefetcher decodes at the
+        branch footprint its DV-LLC holds; a fixed-length one on a
+        variable-length program reads no footprint and decodes only at
+        the DisTable offset."""
+        footprint = None
+        if self.variable_length:
+            footprint = self.sim.llc.get_footprint(line)
+            if footprint is None and offset is None:
+                return  # nothing decodable without boundaries
         result = self.sim.predecoder().decode_block(
             line, footprint_offsets=footprint, dis_offset=offset)
         self.predecodes += 1

@@ -11,6 +11,9 @@ tests pin that down three ways:
   scheme on two contrasting workload profiles;
 * the compiled hot path (``repro.core.proactive``) must match its
   uncompiled reference (``COMPILE_HOT_PATH`` off);
+* the registered proactive schemes, built for the fixed-length ISA,
+  must run on a variable-length program with the counters of the
+  original implementation;
 * the SoA view must snapshot its records and derive the per-run arrays
   exactly as the generic loop computes them per record.
 
@@ -19,17 +22,24 @@ schemes rides in the same module because the event-logged run exercises
 the vectorized loop's slow legs.
 """
 
+import hashlib
+import json
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.proactive import ProactivePrefetcher
 import repro.core.proactive as pa
-from repro.experiments.runner import build_scheme, scheme_names
+from repro.experiments.runner import build_scheme, run_scheme, scheme_names
 from repro.frontend import FrontendConfig, FrontendSimulator
 from repro.obs import reconcile, trace_run
 from repro.workloads import FetchRecord, get_generator, get_trace
 from repro.workloads.soa import engine_view
 
 WORKLOADS = ("web_frontend", "oltp_db_a")
+#: (workload, variable_length): the two fixed-ISA profiles plus one
+#: variable-length program.
+PROGRAMS = tuple((w, False) for w in WORKLOADS) + (("web_frontend", True),)
 N = 1600
 WARMUP = 500
 
@@ -40,8 +50,6 @@ def _digest(sim, prefetcher):
     ``extra["engine_path"]`` names the loop that produced the numbers —
     the one legitimate difference — so it is masked out.
     """
-    from dataclasses import asdict
-
     stats = asdict(sim.stats)
     stats["extra"] = {k: v for k, v in stats["extra"].items()
                       if k != "engine_path"}
@@ -73,34 +81,67 @@ def _digest(sim, prefetcher):
     return out
 
 
-def _run(scheme, workload, fast=True):
+def _run(scheme, program, fast=True):
+    workload, variable_length = program
     prefetcher, overrides = build_scheme(scheme)
     sim = FrontendSimulator(
-        get_trace(workload, n_records=N),
+        get_trace(workload, n_records=N, variable_length=variable_length),
         config=FrontendConfig(**overrides),
         prefetcher=prefetcher,
-        program=get_generator(workload).program)
+        program=get_generator(workload,
+                              variable_length=variable_length).program)
     sim.run(warmup=WARMUP, fast=fast)
     return _digest(sim, prefetcher), sim.engine_path
 
 
 @pytest.mark.parametrize("scheme", scheme_names())
 def test_vectorized_digest_matches_generic(scheme):
-    for workload in WORKLOADS:
-        auto, auto_path = _run(scheme, workload)
-        generic, generic_path = _run(scheme, workload, fast=False)
+    for program in PROGRAMS:
+        auto, auto_path = _run(scheme, program)
+        generic, generic_path = _run(scheme, program, fast=False)
         assert generic_path == "generic"
         assert auto_path == "vectorized"
-        assert auto == generic, (scheme, workload, auto_path)
+        assert auto == generic, (scheme, program, auto_path)
 
 
 @pytest.mark.parametrize("scheme", ("sn4l", "sn4l_dis", "sn4l_dis_btb"))
 def test_compiled_hot_path_matches_reference(scheme, monkeypatch):
-    compiled, _ = _run(scheme, "web_frontend")
-    monkeypatch.setattr(pa, "COMPILE_HOT_PATH", False)
-    reference, path = _run(scheme, "web_frontend")
-    assert path == "vectorized"
-    assert compiled == reference, scheme
+    for program in (("web_frontend", False), ("web_frontend", True)):
+        monkeypatch.setattr(pa, "COMPILE_HOT_PATH", True)
+        compiled, _ = _run(scheme, program)
+        monkeypatch.setattr(pa, "COMPILE_HOT_PATH", False)
+        reference, path = _run(scheme, program)
+        assert path == "vectorized"
+        assert compiled == reference, (scheme, program)
+
+
+#: Counters of the original implementation (commit dbc0f5d) for the
+#: registered proactive schemes on a variable-length web_apache
+#: program: sha256 of the ``FrontendStats`` fields (``extra`` left
+#: out), total cycles and prefetches issued.  These schemes build their
+#: prefetcher for the fixed-length ISA; on a variable-length program it
+#: reads no DV-LLC footprint and decodes only at the DisTable offset.
+VL_SEED_DIGESTS = {
+    "dis": ("6ed2018cb671ec02c0f541a36343b87a"
+            "711b0044ea513b902f670a4454fe134a", 177809, 3),
+    "sn4l_dis": ("26c08aa04b096cd0b2ee626e27a8de8a"
+                 "8d3ef90cec687bcc515dffc3fb18c0c9", 91895, 1289),
+    "sn4l_dis_btb": ("26c08aa04b096cd0b2ee626e27a8de8a"
+                     "8d3ef90cec687bcc515dffc3fb18c0c9", 91895, 1289),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(VL_SEED_DIGESTS))
+def test_proactive_schemes_match_original_on_vl_program(scheme):
+    stats = run_scheme("web_apache", scheme, n_records=6000, warmup=2000,
+                       scale=0.3, variable_length=True, use_cache=False,
+                       persistent=False).stats
+    fields = asdict(stats)
+    del fields["extra"]
+    digest = hashlib.sha256(
+        json.dumps(fields, sort_keys=True).encode()).hexdigest()
+    assert (digest, stats.total_cycles, stats.prefetches_issued) == \
+        VL_SEED_DIGESTS[scheme]
 
 
 @pytest.mark.parametrize("scheme", scheme_names())
