@@ -284,7 +284,7 @@ def _cmd_multicore(args) -> int:
 
 def _cmd_stats(args) -> int:
     from .experiments import store as result_store
-    from .obs import PROFILER, component_report
+    from .obs import REGISTRY, component_report
     from .obs.telemetry import store_event_counts
 
     if args.metrics:
@@ -322,7 +322,7 @@ def _cmd_stats(args) -> int:
             print("need both --workload and --scheme for a component "
                   "breakdown", file=sys.stderr)
             return 2
-        payload["profile"] = PROFILER.snapshot()
+        payload["profile"] = REGISTRY.totals()
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
 
@@ -392,11 +392,12 @@ def _cmd_stats(args) -> int:
               "breakdown", file=sys.stderr)
         return 2
 
-    profile = PROFILER.render()
-    if profile != "(no profile data)":
+    profile = REGISTRY.totals()
+    if profile:
         print()
         print("profile (this process)")
-        print(profile)
+        for series, value in profile.items():
+            print(f"  {series:56s} {value:>12g}")
     return 0
 
 

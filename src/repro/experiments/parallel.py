@@ -33,8 +33,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import runner
 from .runner import RunResult, run_scheme
-from ..obs.metrics import REGISTRY
-from ..obs.profile import PROFILER
+from ..obs.metrics import REGISTRY, inc, observe
 from ..obs.tracing import TRACER, TraceContext
 
 ENV_JOBS = "REPRO_JOBS"
@@ -130,23 +129,21 @@ TraceLeg = Optional[Tuple[str, str, str]]
 Payload = Tuple[str, str, Dict, TraceLeg]
 
 #: One spec's output from a pool worker: the memo key, the result, the
-#: worker-side wall time, and the worker's profiler, trace-span and
-#: metrics snapshots for that spec alone.
-WorkerResult = Tuple[Tuple, RunResult, float, Dict, List[Dict], Dict]
+#: worker-side wall time, and the worker's instrumentation snapshot for
+#: that spec alone (see :func:`_merge`).
+WorkerResult = Tuple[Tuple, RunResult, float, Dict]
 
 
 def _run_payload(payload: Payload) -> WorkerResult:
     """One slim simulation run inside a pool worker.
 
-    The profiler, tracer and metric values are reset first because pool
-    processes are reused across specs: each snapshot must cover exactly
-    this spec, so the parent can fold the worker's counters, spans and
-    metrics into its own and profile per-spec cost vs pool overhead.
+    The metric values and the tracer are reset first because pool
+    processes are reused across specs: the snapshot must cover exactly
+    this spec, so the parent can fold it into its own.
     """
     workload, scheme, params, leg = payload
-    PROFILER.reset()
-    TRACER.reset()
     REGISTRY.reset_values()
+    TRACER.reset()
     start = time.perf_counter()
     if leg is not None:
         trace_id, parent_span_id, worker_span_id = leg
@@ -158,13 +155,24 @@ def _run_payload(payload: Payload) -> WorkerResult:
     else:
         result = run_scheme(workload, scheme, **params)
     elapsed = time.perf_counter() - start
-    # Counters and histograms add up across processes; gauges sample one
-    # process's state (its store session, the service queue), so a
-    # worker's must never overwrite the parent's.
-    metrics = REGISTRY.snapshot()
-    del metrics["gauges"]
-    return (_key(workload, scheme, params), result, elapsed,
-            PROFILER.snapshot(), TRACER.snapshot(), metrics)
+    observe("repro_pool_task_seconds", elapsed)
+    snapshot = REGISTRY.snapshot()
+    del snapshot["gauges"]
+    snapshot["spans"] = TRACER.snapshot()
+    return _key(workload, scheme, params), result, elapsed, snapshot
+
+
+def _merge(snapshot: Dict) -> None:
+    """Fold one worker snapshot into this process.
+
+    Counters and histogram buckets add and finished spans join the
+    tracer's buffer.  Gauges sample one process's state (its store
+    session, the service queue), so they never cross processes: the
+    worker leaves them out and :meth:`MetricsRegistry.merge` ignores
+    them.
+    """
+    REGISTRY.merge(snapshot)
+    TRACER.merge(snapshot["spans"])
 
 
 def _worker(batch: List[Payload]) -> List[WorkerResult]:
@@ -213,10 +221,14 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
     calls in this process hit.
 
     ``progress``, when given, is called with each spec's result as it
-    lands: in input order serially; under a pool, once per unique spec,
-    when that spec's program batch returns (batches in submission
-    order), or from the serial fallback if the pool breaks first — the
-    service's job event stream hangs off this hook.
+    lands: in input order serially; under a pool, once per unique spec —
+    memoised specs first, then each program batch as it returns
+    (batches in submission order), or from the serial fallback if the
+    pool breaks first — the service's job event stream hangs off this
+    hook.
+
+    Each spec is tallied once, as in the serial loop: a simulation or a
+    store hit where it ran, a memo hit for a memoised spec or a repeat.
     """
     normalised = [_normalise(s, common) for s in specs]
     n_jobs = resolve_jobs(jobs)
@@ -234,7 +246,15 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
     for w, s, p in normalised:
         unique.setdefault(_key(w, s, p), (w, s, p))
     # Serve already-memoised keys locally; only miss keys hit the pool.
-    todo = {k: v for k, v in unique.items() if k not in runner._CACHE}
+    done: Dict[Tuple, RunResult] = {}
+    todo: Dict[Tuple, Tuple[str, str, Dict]] = {}
+    for key, (w, s, p) in unique.items():
+        if key in runner._CACHE:
+            done[key] = run_scheme(w, s, **p)
+            if progress is not None:
+                progress(done[key])
+        else:
+            todo[key] = (w, s, p)
 
     if todo:
         # Crossing the process boundary is the one explicit propagation
@@ -252,42 +272,44 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
             payloads.append((w, s, p, leg))
         batches = _program_batches(payloads, n_jobs)
         workers = min(n_jobs, len(batches))
-        delivered = set()
         pool_start = time.perf_counter()
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 busy = 0.0
                 for batch in pool.map(_worker, batches):
-                    for key, result, elapsed, snap, spans, metrics in batch:
-                        delivered.add(key)
+                    for key, result, elapsed, snapshot in batch:
+                        done[key] = result
                         runner.seed_cache(key, result)
-                        PROFILER.record("run_many.worker", elapsed)
-                        PROFILER.merge(snap)
-                        TRACER.merge(spans)
-                        REGISTRY.merge(metrics)
+                        _merge(snapshot)
                         busy += elapsed
                         if progress is not None:
                             progress(result)
             wall = time.perf_counter() - pool_start
-            PROFILER.record("run_many.pool", wall)
+            observe("repro_pool_seconds", wall)
             # Wall time not covered by (perfectly parallel) worker work:
             # process spin-up, pickling, queue wait, and a worker idling
             # once the batches run out.
-            PROFILER.record("run_many.pool_overhead",
-                            max(0.0, wall - busy / workers))
-            PROFILER.incr("run_many.worker_runs", len(payloads))
+            observe("repro_pool_overhead_seconds",
+                    max(0.0, wall - busy / workers))
         except BrokenProcessPool:
             # Worker crashed (e.g. fork-hostile environment): degrade to
             # serial execution rather than failing the experiment.  The
             # specs the pool never delivered still report progress.
-            PROFILER.incr("run_many.broken_pools")
+            inc("repro_pool_broken_total")
             for key, (w, s, p) in todo.items():
-                if key not in delivered:
-                    result = run_scheme(w, s, **p)
+                if key not in done:
+                    done[key] = run_scheme(w, s, **p)
                     if progress is not None:
-                        progress(result)
+                        progress(done[key])
 
-    return [run_scheme(w, s, **p) for w, s, p in normalised]
+    # A spec's first occurrence takes its result from ``done``; a repeat
+    # asks run_scheme, a memo hit exactly as in the serial loop.
+    results = []
+    for w, s, p in normalised:
+        result = done.pop(_key(w, s, p), None)
+        results.append(result if result is not None
+                       else run_scheme(w, s, **p))
+    return results
 
 
 def map_parallel(fn: Callable, items: Sequence,

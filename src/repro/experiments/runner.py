@@ -23,7 +23,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 from . import store as result_store
 from ..obs.metrics import inc, observe
-from ..obs.profile import PROFILER
 from ..obs.tracing import TRACER
 
 from ..core import ProactivePrefetcher, Sn4lPrefetcher, dis_only, sn4l_dis, sn4l_dis_btb
@@ -125,10 +124,6 @@ def build_scheme(name: str):
 _CACHE: "OrderedDict[Tuple, RunResult]" = OrderedDict()
 _CACHE_MAX = 256
 
-#: Simulations actually executed by this process (cache misses); tests
-#: use this to prove a warm persistent cache skips simulation.
-simulations_run = 0
-
 
 def _fingerprint(workload: str, scheme: str, n_records: int, warmup: int,
                  scale: float, variable_length: bool,
@@ -224,7 +219,6 @@ def run_scheme(workload: str, scheme: str,
     scheme-side state; the default result is slim.  ``persistent``
     controls the on-disk store (None = honour ``REPRO_CACHE_DISABLE``).
     """
-    global simulations_run
     if warmup is None:
         warmup = n_records // 3
     overrides = dict(config_overrides or {})
@@ -234,7 +228,7 @@ def run_scheme(workload: str, scheme: str,
         cached = _CACHE[key]
         if cached.simulator is not None or not keep_simulator:
             _CACHE.move_to_end(key)
-            PROFILER.incr("run_scheme.memo_hits")
+            inc("repro_run_cache_hits_total", labels={"layer": "memo"})
             return cached
 
     # Persistent layer.  Factory-built variants are only fingerprintable
@@ -255,7 +249,8 @@ def run_scheme(workload: str, scheme: str,
                     result = RunResult(workload=workload, scheme=scheme,
                                        stats=stats, extra=extra)
                     _memoise(key, result)
-                    PROFILER.incr("run_scheme.store_hits")
+                    inc("repro_run_cache_hits_total",
+                        labels={"layer": "store"})
                     return result
 
     if prefetcher_factory is not None:
@@ -266,16 +261,15 @@ def run_scheme(workload: str, scheme: str,
         prefetcher, scheme_overrides = build_scheme(scheme)
     merged = {**scheme_overrides, **overrides}
 
-    with PROFILER.span("run_scheme.trace"):
-        generator = get_generator(workload, scale=scale,
-                                  variable_length=variable_length)
-        trace = get_trace(workload, n_records=n_records, scale=scale,
-                          variable_length=variable_length)
+    trace_start = time.perf_counter()
+    generator = get_generator(workload, scale=scale,
+                              variable_length=variable_length)
+    trace = get_trace(workload, n_records=n_records, scale=scale,
+                      variable_length=variable_length)
+    observe("repro_run_trace_seconds", time.perf_counter() - trace_start)
     config = FrontendConfig(**merged)
     sim = FrontendSimulator(trace, config=config, prefetcher=prefetcher,
                             program=generator.program)
-    simulations_run += 1
-    PROFILER.incr("run_scheme.simulations")
     sim_start = time.perf_counter()
     # The innermost span of a service trace (client -> http -> queue ->
     # worker -> engine); standalone CLI runs start their own root here.
@@ -285,7 +279,6 @@ def run_scheme(workload: str, scheme: str,
                             "scheme": scheme}) as eng_span:
         stats = sim.run(warmup=warmup)
     sim_elapsed = time.perf_counter() - sim_start
-    PROFILER.record("run_scheme.simulate", sim_elapsed)
     inc("repro_runs_total")
     inc("repro_records_simulated_total", float(n_records))
     observe("repro_run_seconds", sim_elapsed,

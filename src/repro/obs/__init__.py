@@ -1,17 +1,21 @@
-"""Observability: structured telemetry, profiling hooks, run manifests.
+"""Observability: structured telemetry, metrics, traces, run manifests.
 
 The ``repro.obs`` package is the unified observability layer threaded
 through the engine, the prefetchers, the experiment runner and the CLI:
 
 * :mod:`repro.obs.telemetry` — per-prefetcher component counters
-  (coverage / accuracy / timeliness / pollution per SN4L, Dis, … source)
-  and the event-count <-> :class:`~repro.frontend.stats.FrontendStats`
-  reconciliation used by the trace smoke test;
-* :mod:`repro.obs.profile` — context-manager timing spans and monotonic
-  counters (``PROFILER``) instrumenting ``run_scheme``, the parallel
-  pool and the persistent store;
+  (coverage / accuracy / timeliness / pollution per SN4L, Dis, … source),
+  the event-count <-> :class:`~repro.frontend.stats.FrontendStats`
+  reconciliation used by the trace smoke test, and the persistent
+  store's lifecycle events;
+* :mod:`repro.obs.metrics` — the process-wide ``REGISTRY``, the one
+  place counts and durations add up: ``run_scheme`` runs and cache
+  hits, pool wall times, store events and the service's own metrics,
+  rendered by ``repro stats`` and ``/metricsz`` and shipped home by
+  pool workers;
 * :mod:`repro.obs.tracing` — streaming JSONL event traces
-  (``repro run --trace out.jsonl``) and their readers;
+  (``repro run --trace out.jsonl``) and their readers, plus the
+  request-scoped spans of the served simulator;
 * :mod:`repro.obs.bench` — the ``repro bench`` benchmark matrix with
   its append-only JSONL measurement history (and the derived
   ``BENCH_throughput.json`` view);
@@ -21,10 +25,10 @@ through the engine, the prefetchers, the experiment runner and the CLI:
 * :mod:`repro.obs.traceql` — trace analytics (``repro trace
   summarize|diff|query``) with per-component drift attribution.
 
-Everything here is opt-in: with no event log attached and no profiler
-consumer, the default simulation path is unchanged (the engine's
-``event_log is None`` checks keep every inlined leg of the vectorized
-loop).
+Everything inside the engine is opt-in: with no event log attached,
+the default simulation path is unchanged (the engine's ``event_log is
+None`` checks keep every inlined leg of the vectorized loop); the
+registry counts whole runs, never per-record work.
 """
 
 from .bench import BenchCell, MATRICES, run_cell, run_matrix
@@ -42,21 +46,14 @@ from .metrics import (
     render_metrics,
     set_gauge,
 )
-from .profile import PROFILER, Profiler, SpanStats
 from .regress import Verdict, check_record, check_records, markdown_report
 from .telemetry import (
     RECONCILED_COUNTERS,
-    SPAN_EVENT_COUNTS,
-    STORE_EVENT_COUNTS,
     ComponentCounters,
-    add_span_listener,
     add_store_listener,
     component_report,
     reconcile,
-    remove_span_listener,
     remove_store_listener,
-    span_event,
-    span_event_counts,
     store_event,
     store_event_counts,
 )
@@ -73,12 +70,8 @@ from .tracing import (
 )
 
 __all__ = [
-    "PROFILER",
-    "Profiler",
-    "SpanStats",
     "ComponentCounters",
     "RECONCILED_COUNTERS",
-    "STORE_EVENT_COUNTS",
     "add_store_listener",
     "remove_store_listener",
     "store_event",
@@ -105,11 +98,6 @@ __all__ = [
     "parse_prometheus_text",
     "quantile_from_buckets",
     "log_spaced_buckets",
-    "SPAN_EVENT_COUNTS",
-    "add_span_listener",
-    "remove_span_listener",
-    "span_event",
-    "span_event_counts",
     "BenchCell",
     "MATRICES",
     "run_cell",

@@ -24,9 +24,13 @@ enforced the way :class:`~repro.frontend.eventlog.EventLog` enforces
 kinds: observing an undeclared metric raises under ``__debug__`` and
 degrades to an implicit declaration otherwise.
 
-Everything is guarded by one lock, like
-:data:`~repro.obs.telemetry.STORE_EVENT_COUNTS`: the service observes
-from ``to_thread`` executor threads and the event loop concurrently.
+It is the one place where counts and durations add up: the runner's
+cache hits, the pool's wall times and the persistent store's lifecycle
+events are registry metrics too, so ``repro stats``, ``/metricsz`` and
+pool workers all read and ship the same numbers.
+
+Everything is guarded by one lock: the service observes from
+``to_thread`` executor threads and the event loop concurrently.
 Collectors run *outside* the lock (they may take other locks, e.g. the
 store's counter lock).
 """
@@ -388,6 +392,33 @@ class MetricsRegistry:
                 return {q: None for q in qs}
             return {q: metric.quantile(q, key) for q in qs}
 
+    def values(self, name: str) -> Dict[LabelSet, float]:
+        """One counter's or gauge's series (collectors are not run)."""
+        with self._lock:
+            metric = self._metrics.get(name)
+            if not isinstance(metric, _Counter):
+                return {}
+            return dict(metric.values)
+
+    def totals(self) -> Dict[str, float]:
+        """Every counter series and histogram count and sum, keyed like
+        their ``/metricsz`` lines (``name{k="v"}``, ``name_count``,
+        ``name_sum``): the ``repro stats`` profile.  Gauges, which sample
+        state rather than add up, are left out."""
+        out: Dict[str, float] = {}
+        with self._lock:
+            for name, metric in sorted(self._metrics.items()):
+                if isinstance(metric, _Histogram):
+                    for labels in sorted(metric.counts):
+                        text = _render_labels(labels)
+                        out[f"{name}_count{text}"] = metric.totals[labels]
+                        out[f"{name}_sum{text}"] = metric.sums[labels]
+                elif type(metric) is _Counter:
+                    for labels in sorted(metric.values):
+                        out[f"{name}{_render_labels(labels)}"] = \
+                            metric.values[labels]
+        return out
+
     def snapshot(self) -> Dict[str, Any]:
         """Machine-readable dump, also the :meth:`merge` input.
 
@@ -424,23 +455,18 @@ class MetricsRegistry:
     def merge(self, snapshot: Mapping[str, Any]) -> None:
         """Fold another process's :meth:`snapshot` into this registry.
 
-        The parallel runner carries worker-process metrics back through
-        the pool the same way :meth:`repro.obs.profile.Profiler.merge`
-        carries profiler spans: counters and histogram buckets add,
-        gauges overwrite (a worker's last level wins for its labelset).
-        Unknown names are folded in as implicitly declared — the worker
-        ran the same code, so in practice they are always declared here
-        too.
+        The parallel runner carries each pool worker's metrics back
+        through here: counters and histogram buckets add.  Gauges never
+        cross processes — they sample one process's state (its store
+        session, the service queue) — so any in the snapshot are
+        ignored.  Unknown names are folded in as implicitly declared —
+        the worker ran the same code, so in practice they are always
+        declared here too.
         """
         for name, series in snapshot.get("counters", {}).items():
             for row in series:
                 self.inc(name, float(row.get("value", 0.0)),
                          labels=dict(tuple(kv) for kv in row["labels"]))
-        for name, series in snapshot.get("gauges", {}).items():
-            for row in series:
-                self.set_gauge(name, float(row.get("value", 0.0)),
-                               labels=dict(tuple(kv)
-                                           for kv in row["labels"]))
         for name, data in snapshot.get("histograms", {}).items():
             bounds = tuple(float(b) for b in data.get("buckets", ()))
             with self._lock:
@@ -595,6 +621,16 @@ declare_counter("repro_jobs_deduped_total",
 declare_counter("repro_runs_total", "engine simulations executed")
 declare_counter("repro_records_simulated_total",
                 "trace records fed through the engine")
+declare_counter("repro_run_cache_hits_total",
+                "run_scheme calls served without simulating, by cache "
+                "layer (memo, store)")
+declare_counter("repro_pool_broken_total",
+                "run_many process pools that broke and fell back to serial")
+declare_counter("repro_store_events_total",
+                "persistent store lifecycle events, by kind "
+                "(corrupt, evict, repoint)")
+declare_counter("repro_store_listener_errors_total",
+                "store event listener exceptions swallowed")
 declare_counter("repro_spans_total", "trace spans finished, by span name")
 
 declare_gauge("repro_job_queue_depth", "jobs waiting in the bounded queue")
@@ -619,6 +655,15 @@ declare_histogram("repro_job_queue_wait_seconds",
                   "time a job spent queued before a worker picked it up")
 declare_histogram("repro_run_seconds",
                   "engine wall time of one simulated (workload, scheme)")
+declare_histogram("repro_run_trace_seconds",
+                  "program and trace build (or load) of one simulated run")
+declare_histogram("repro_pool_seconds",
+                  "wall time of one run_many process pool")
+declare_histogram("repro_pool_overhead_seconds",
+                  "pool wall time not covered by parallel worker work: "
+                  "spin-up, pickling, queue wait, idle workers")
+declare_histogram("repro_pool_task_seconds",
+                  "worker wall time of one pooled spec")
 
 
 def _store_collector() -> None:

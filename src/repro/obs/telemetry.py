@@ -17,14 +17,11 @@ Three concerns live here:
   scheme.
 * :func:`store_event` — the persistent store's lifecycle bus.  The
   store (:mod:`repro.experiments.store`) reports corrupt entries,
-  evictions and singleton re-points here; listeners registered with
-  :func:`add_store_listener` (the ``repro serve`` job event stream,
-  tests) observe them without the store importing any consumer.
-* :func:`span_event` — the same bus pattern for *finished trace spans*
-  (:mod:`repro.obs.tracing`): every span record is published to
-  listeners registered with :func:`add_span_listener`, and
-  :data:`SPAN_EVENT_COUNTS` aggregates finished spans by name even when
-  nobody listens.
+  evictions and singleton re-points here.  Each event is counted in the
+  ``repro_store_events_total{kind}`` registry counter, so pool workers
+  ship their events home with the rest of their metrics; listeners
+  registered with :func:`add_store_listener` (tests) observe the
+  events themselves without the store importing any consumer.
 """
 
 from __future__ import annotations
@@ -33,25 +30,15 @@ import threading
 from collections import Counter, defaultdict
 from typing import Any, Callable, Dict, List, Mapping, Tuple
 
+from .metrics import REGISTRY, inc
+
 #: A store lifecycle listener: called as ``listener(kind, fields)``.
 StoreListener = Callable[[str, Dict[str, Any]], None]
 
 _STORE_LISTENERS: List[StoreListener] = []
 
-#: Store lifecycle events seen this process, by kind ("corrupt",
-#: "evict", "repoint", ...) — a cheap aggregate surface (``repro
-#: stats``) even when no listener is registered.  The service publishes
-#: store events from ``to_thread`` executor threads *and* the loop
-#: thread concurrently, so the counter and the listener list are
-#: guarded by :data:`_BUS_LOCK`; read snapshots via
-#: :func:`store_event_counts`.
-STORE_EVENT_COUNTS: Counter = Counter()
-
-#: Listener exceptions swallowed per bus ("store" / "span").  Observers
-#: are best-effort — a failing listener must never take down the
-#: publisher — but the drops stay countable instead of vanishing.
-DROPPED_LISTENER_ERRORS: Counter = Counter()
-
+#: Guards the listener list: the service publishes store events from
+#: ``to_thread`` executor threads *and* the loop thread concurrently.
 _BUS_LOCK = threading.Lock()
 
 
@@ -72,81 +59,29 @@ def remove_store_listener(listener: StoreListener) -> None:
 
 
 def store_event_counts() -> Dict[str, int]:
-    """A consistent snapshot of the event counts, sorted by kind."""
-    with _BUS_LOCK:
-        return dict(sorted(STORE_EVENT_COUNTS.items()))
+    """Store events seen by this process and its pool workers, by kind."""
+    series = REGISTRY.values("repro_store_events_total")
+    return {dict(labels)["kind"]: int(count)
+            for labels, count in sorted(series.items())}
 
 
 def store_event(kind: str, **fields: Any) -> None:
-    """Publish one store lifecycle event to every listener.
+    """Count one store lifecycle event and publish it to every listener.
 
     Listeners must never break the store: exceptions are swallowed
     (a cache layer failing because an observer crashed would invert
-    the dependency the bus exists to avoid).  The count bump and the
-    listener snapshot happen under the bus lock — ``Counter.__iadd__``
-    is a read-modify-write, and the service's worker threads publish
-    concurrently with the loop — but the listeners themselves run
-    outside it, so a slow observer cannot stall every other publisher.
+    the dependency the bus exists to avoid) and counted in
+    ``repro_store_listener_errors_total``.  The listeners run outside
+    the bus lock, so a slow observer cannot stall every other publisher.
     """
+    inc("repro_store_events_total", labels={"kind": kind})
     with _BUS_LOCK:
-        STORE_EVENT_COUNTS[kind] += 1
         listeners = list(_STORE_LISTENERS)
     for listener in listeners:
         try:
             listener(kind, dict(fields))
         except Exception:       # noqa: BLE001 - observers are best-effort
-            DROPPED_LISTENER_ERRORS["store"] += 1
-
-#: A span listener: called with one finished span record (a dict with
-#: trace_id/span_id/parent_id/name/start_ts/duration_s keys).
-SpanListener = Callable[[Dict[str, Any]], None]
-
-_SPAN_LISTENERS: List[SpanListener] = []
-
-#: Finished spans seen this process, by span name — the cheap aggregate
-#: surface mirroring :data:`STORE_EVENT_COUNTS`.  Shares
-#: :data:`_BUS_LOCK`: spans finish on the service's loop thread,
-#: ``to_thread`` executor threads and pool-merge paths concurrently.
-SPAN_EVENT_COUNTS: Counter = Counter()
-
-
-def add_span_listener(listener: SpanListener) -> SpanListener:
-    """Register a callback for finished trace spans."""
-    with _BUS_LOCK:
-        _SPAN_LISTENERS.append(listener)
-    return listener
-
-
-def remove_span_listener(listener: SpanListener) -> None:
-    """Unregister a span listener (no-op if it was never added)."""
-    with _BUS_LOCK:
-        try:
-            _SPAN_LISTENERS.remove(listener)
-        except ValueError:
-            pass
-
-
-def span_event_counts() -> Dict[str, int]:
-    """A consistent snapshot of finished-span counts by span name."""
-    with _BUS_LOCK:
-        return dict(sorted(SPAN_EVENT_COUNTS.items()))
-
-
-def span_event(record: Dict[str, Any]) -> None:
-    """Publish one finished span to every span listener.
-
-    Same contract as :func:`store_event`: the count bump happens under
-    the bus lock, listeners run outside it, and listener exceptions are
-    swallowed — tracing must never fail the request it observes.
-    """
-    with _BUS_LOCK:
-        SPAN_EVENT_COUNTS[record.get("name", "unknown")] += 1
-        listeners = list(_SPAN_LISTENERS)
-    for listener in listeners:
-        try:
-            listener(dict(record))
-        except Exception:       # noqa: BLE001 - observers are best-effort
-            DROPPED_LISTENER_ERRORS["span"] += 1
+            inc("repro_store_listener_errors_total")
 
 
 #: event kind -> FrontendStats attribute that must match its count.

@@ -21,12 +21,11 @@ Two tracing planes live here:
   seed (the job fingerprint) and a per-process counter — no wall clock,
   no RNG — so a replayed submission names the same trace.  Wall time
   appears only as span *data* (``start_ts``/``duration_s``).  Worker
-  processes return their spans as a snapshot and the parent folds them
-  in with :meth:`Tracer.merge`, exactly the way
-  :meth:`repro.obs.profile.Profiler.merge` folds worker profiles.
-  Finished spans are published on the telemetry span bus
-  (:func:`repro.obs.telemetry.span_event`) and persisted per trace under
-  ``<cache root>/service/traces/``, sharded like the result store.
+  processes return their spans in the same snapshot as their metrics
+  and the parent folds them in with :meth:`Tracer.merge`.  Finished
+  spans are counted in ``repro_spans_total{name}`` and persisted per
+  trace under ``<cache root>/service/traces/``, sharded like the result
+  store.
 
 Engine event tracing is strictly opt-in: a simulator with ``event_log
 is None`` takes the exact pre-observability path, every inlined leg of
@@ -394,7 +393,6 @@ class Tracer:
 
     def _finish(self, span: Span, duration_s: float) -> None:
         from .metrics import inc
-        from .telemetry import span_event
         record: Dict[str, Any] = {
             "trace_id": span.trace_id,
             "span_id": span.span_id,
@@ -409,7 +407,6 @@ class Tracer:
         with self._lock:
             self._finished.append(record)
         inc("repro_spans_total", labels={"name": span.name})
-        span_event(record)
 
     # -- buffered spans ------------------------------------------------
 
@@ -431,8 +428,9 @@ class Tracer:
     def reset(self) -> None:
         """Drop buffered spans and restart the id counter.
 
-        Pool workers call this at task start (like ``PROFILER.reset()``)
-        so a reused worker process's snapshot covers exactly one task.
+        Pool workers call this at task start (with
+        ``REGISTRY.reset_values()``) so a reused worker process's
+        snapshot covers exactly one task.
         """
         with self._lock:
             self._finished.clear()

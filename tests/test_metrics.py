@@ -163,7 +163,7 @@ class TestSnapshotAndMerge:
         parent.merge(worker.snapshot())
         parsed = parse_prometheus_text(parent.render())
         assert parsed["t_requests_total"] == [({}, 5.0)]   # counters add
-        assert parsed["t_depth"] == [({}, 9.0)]            # gauges overwrite
+        assert "t_depth" not in parsed      # gauges never cross processes
         assert parsed["t_latency_seconds_count"] == [({}, 2.0)]
 
     def test_incompatible_histogram_shape_is_dropped(self):

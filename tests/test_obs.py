@@ -2,8 +2,8 @@
 
 Covers the streaming JSONL trace, event/counter reconciliation (for
 every registered scheme — the acceptance gate for the telemetry bus),
-per-component counters, the profiler, run manifests, and which engine
-loop ``run()`` selects with telemetry attached or not.
+per-component counters, the runner's registry metrics, run manifests,
+and which engine loop ``run()`` selects with telemetry attached or not.
 """
 
 import json
@@ -17,10 +17,9 @@ from repro.frontend import FrontendConfig, FrontendSimulator
 from repro.frontend.eventlog import EventLog
 from repro.isa import CACHE_BLOCK_SIZE
 from repro.obs import (
-    PROFILER,
+    REGISTRY,
     ComponentCounters,
     JsonlTraceLog,
-    Profiler,
     component_report,
     read_trace,
     reconcile,
@@ -203,45 +202,28 @@ class TestEnginePath:
         assert list(logs["vectorized"]) == list(logs["generic"])
 
 
-class TestProfiler:
-    def test_span_and_counters(self):
-        prof = Profiler()
-        with prof.span("work"):
-            pass
-        with prof.span("work"):
-            pass
-        prof.incr("things", 3)
-        span = prof.span_stats("work")
-        assert span.count == 2
-        assert span.total >= 0.0
-        assert span.min <= span.max
-        assert prof.counters["things"] == 3
-        snap = prof.snapshot()
-        assert snap["counters"]["things"] == 3
-        assert snap["spans"]["work"]["count"] == 2.0
-        assert "work" in prof.render()
-        prof.reset()
-        assert prof.snapshot() == {"counters": {}, "spans": {}}
-
-    def test_span_records_on_exception(self):
-        prof = Profiler()
-        with pytest.raises(RuntimeError):
-            with prof.span("boom"):
-                raise RuntimeError("x")
-        assert prof.span_stats("boom").count == 1
-
+class TestRunMetrics:
     def test_run_scheme_reports(self, fresh_store):
-        PROFILER.reset()
+        REGISTRY.reset_values()
         runner.run_scheme("web_apache", "baseline", n_records=RECORDS,
                           scale=SCALE)
-        assert PROFILER.counters["run_scheme.simulations"] == 1
-        assert PROFILER.span_stats("run_scheme.simulate").count == 1
+        totals = REGISTRY.totals()
+        assert totals["repro_runs_total"] == 1
+        assert totals["repro_run_seconds_count"] == 1
+        assert totals["repro_run_trace_seconds_count"] == 1
         # Memoised repeat: no new simulation, a memo hit instead.
         runner.run_scheme("web_apache", "baseline", n_records=RECORDS,
                           scale=SCALE)
-        assert PROFILER.counters["run_scheme.simulations"] == 1
-        assert PROFILER.counters["run_scheme.memo_hits"] == 1
-        PROFILER.reset()
+        totals = REGISTRY.totals()
+        assert totals["repro_runs_total"] == 1
+        assert totals['repro_run_cache_hits_total{layer="memo"}'] == 1
+        # A fresh memo over the warm store: a store hit.
+        runner.clear_cache()
+        runner.run_scheme("web_apache", "baseline", n_records=RECORDS,
+                          scale=SCALE)
+        totals = REGISTRY.totals()
+        assert totals["repro_runs_total"] == 1
+        assert totals['repro_run_cache_hits_total{layer="store"}'] == 1
 
 
 class TestRunManifest:

@@ -5,7 +5,9 @@ pin down — ``jobs=2`` must produce bit-identical results to serial
 execution, because every simulation is deterministic given its seed.
 """
 
+import json
 import os
+import shutil
 import warnings
 from dataclasses import asdict
 
@@ -13,6 +15,7 @@ import pytest
 
 from repro.experiments import parallel, runner
 from repro.experiments.parallel import map_parallel, resolve_jobs, run_many
+from repro.obs.metrics import REGISTRY
 from repro.workloads import tracegen
 
 RECORDS = 6_000
@@ -115,10 +118,10 @@ class TestRunMany:
     def test_seeds_in_process_memo(self):
         run_many([("web_apache", "baseline"), ("web_apache", "nl")],
                  jobs=2, n_records=RECORDS, scale=SCALE)
-        sims_before = runner.simulations_run
+        sims_before = REGISTRY.totals()["repro_runs_total"]
         runner.run_scheme("web_apache", "nl", n_records=RECORDS,
                           scale=SCALE)
-        assert runner.simulations_run == sims_before
+        assert REGISTRY.totals()["repro_runs_total"] == sims_before
 
     def test_per_spec_params_and_dedup(self):
         specs = [("web_apache", "baseline"),
@@ -138,18 +141,36 @@ class TestRunMany:
         with pytest.raises(ValueError):
             run_many([("web_apache",)], n_records=RECORDS, scale=SCALE)
 
-    def test_worker_profiles_merge_into_parent(self):
-        from repro.obs import PROFILER
-        PROFILER.reset()
+    def test_worker_metrics_merge_into_parent(self):
+        REGISTRY.reset_values()
         run_many([("web_apache", "baseline"), ("web_apache", "nl")],
                  jobs=2, n_records=RECORDS, scale=SCALE)
-        # Each pool worker simulated once and shipped its profiler
-        # snapshot home; the parent ran no simulation of its own (both
-        # results come back through the seeded memo).
-        assert PROFILER.counters["run_scheme.simulations"] == 2
-        spans = PROFILER.snapshot()["spans"]
-        assert spans["run_scheme.simulate"]["count"] == 2
-        assert spans["run_scheme.simulate"]["total_s"] > 0
+        # Each pool worker simulated once and shipped its snapshot home;
+        # the parent ran no simulation of its own and, with every spec
+        # delivered by the pool, counted no memo hit either.
+        totals = REGISTRY.totals()
+        assert totals["repro_runs_total"] == 2
+        assert totals["repro_run_seconds_count"] == 2
+        assert totals["repro_run_seconds_sum"] > 0
+        assert totals["repro_pool_task_seconds_count"] == 2
+        assert totals["repro_pool_seconds_count"] == 1
+        assert 'repro_run_cache_hits_total{layer="memo"}' not in totals
+
+    def test_progress_reports_memoised_specs_under_pool(self):
+        """A spec already in the memo reports progress under a pool
+        too, as the serial loop reports every spec."""
+        specs = [("web_apache", "baseline"), ("web_apache", "nl"),
+                 ("web_apache", "n4l")]
+        reported = {}
+        for jobs in (1, 2):
+            runner.clear_cache()
+            runner.run_scheme("web_apache", "baseline", n_records=RECORDS,
+                              scale=SCALE, persistent=False)
+            seen = []
+            run_many(specs, jobs=jobs, n_records=RECORDS, scale=SCALE,
+                     persistent=False, progress=seen.append)
+            reported[jobs] = sorted((r.workload, r.scheme) for r in seen)
+        assert reported[1] == reported[2] == sorted(specs)
 
 
 class TestProgramBatches:
@@ -251,7 +272,7 @@ class TestPooledMetrics:
             assert served == serial, jobs
 
     def test_worker_snapshot_carries_no_gauges(self):
-        key, _result, _s, _prof, _spans, metrics = parallel._run_payload(
+        key, _result, _s, metrics = parallel._run_payload(
             ("web_apache", "baseline",
              {"n_records": RECORDS, "scale": SCALE, "persistent": False},
              None))
@@ -261,12 +282,123 @@ class TestPooledMetrics:
         assert metrics["counters"]["repro_runs_total"][0]["value"] == 1
 
 
+class TestCountsAgreeAcrossModes:
+    """Every tally of the runner and the store reads the same whether
+    a spec ran serially, in a pool worker or behind ``repro serve``."""
+
+    @staticmethod
+    def _corrupt(scheme):
+        """Overwrite ``scheme``'s persisted result with garbage."""
+        from repro.experiments import store
+        st = store.get_store()
+        for manifest in st.iter_manifests():
+            if manifest["scheme"] == scheme:
+                st.result_path(manifest["fingerprint"]).write_text("{junk")
+                return
+        raise AssertionError(f"no stored result for {scheme}")
+
+    def test_corrupt_entry_read_in_worker_is_counted(self):
+        """Failure injection: a corrupt store entry read inside a pool
+        worker is counted in the parent, as a serial read is."""
+        from repro.obs.telemetry import store_event_counts
+
+        specs = [("web_apache", "baseline"), ("web_apache", "nl")]
+        run_many(specs, jobs=1, n_records=RECORDS, scale=SCALE)
+        results = {}
+        for jobs in (1, 2):
+            runner.clear_cache()
+            self._corrupt("nl")
+            before = store_event_counts().get("corrupt", 0)
+            results[jobs] = run_many(specs, jobs=jobs, n_records=RECORDS,
+                                     scale=SCALE)
+            assert store_event_counts()["corrupt"] == before + 1, jobs
+        for a, b in zip(results[1], results[2]):
+            assert asdict(a.stats) == asdict(b.stats)
+
+    #: What the runner and the store tally per spec; every mode must
+    #: read the same totals.
+    RUNNER_SERIES = {
+        "repro_runs_total": 1,
+        "repro_records_simulated_total": RECORDS,
+        "repro_run_seconds_count": 1,
+        "repro_run_trace_seconds_count": 1,
+        'repro_run_cache_hits_total{layer="memo"}': 1,
+        'repro_run_cache_hits_total{layer="store"}': 1,
+        'repro_store_events_total{kind="corrupt"}': 1,
+    }
+
+    @staticmethod
+    def _scraped(text):
+        """``/metricsz`` text keyed like :meth:`MetricsRegistry.totals`."""
+        from repro.obs.metrics import parse_prometheus_text
+        out = {}
+        for name, rows in parse_prometheus_text(text).items():
+            for labels, value in rows:
+                inner = ",".join(f'{k}="{v}"'
+                                 for k, v in sorted(labels.items()))
+                out[f"{name}{{{inner}}}" if inner else name] = value
+        return out
+
+    def test_runner_counts_agree_in_every_mode(self, tmp_path, monkeypatch,
+                                               capsys):
+        """The same three specs — one memoised, one in the store, one
+        behind a corrupt store entry — run serially, with ``jobs=2`` and
+        as a served compare job (``jobs=1`` and ``jobs=2``).  Every
+        mode reads the same runner and store totals in ``REGISTRY``,
+        in ``/metricsz`` and in ``repro stats --json``."""
+        from repro import cli
+        from repro.experiments import store
+        from repro.obs.metrics import render_metrics
+        from repro.service import ServiceClient, serve_in_thread
+
+        schemes = ["nl", "n4l"]
+        specs = [("web_apache", s) for s in ["baseline"] + schemes]
+        template = tmp_path / "template"
+        monkeypatch.setenv(store.ENV_CACHE_DIR, str(template))
+        store.reset_store()
+        run_many(specs, jobs=1, n_records=RECORDS, scale=SCALE)
+        self._corrupt("n4l")
+
+        def run_served(jobs):
+            with serve_in_thread(workers=1) as handle:
+                client = ServiceClient(*handle.address, timeout=120.0)
+                job = client.wait(client.submit(
+                    "compare", workload="web_apache", schemes=schemes,
+                    n_records=RECORDS, scale=SCALE, jobs=jobs), timeout=300)
+                assert job["state"] == "done", job
+                return client.metricsz()
+
+        def run_direct(jobs):
+            run_many(specs, jobs=jobs, n_records=RECORDS, scale=SCALE)
+            return render_metrics()
+
+        modes = {"serial": (run_direct, 1), "jobs2": (run_direct, 2),
+                 "served1": (run_served, 1), "served2": (run_served, 2)}
+        for mode, (run, jobs) in modes.items():
+            root = tmp_path / mode
+            shutil.copytree(template, root)
+            monkeypatch.setenv(store.ENV_CACHE_DIR, str(root))
+            store.reset_store()
+            runner.clear_cache()
+            runner.run_scheme("web_apache", "baseline", n_records=RECORDS,
+                              scale=SCALE)
+            REGISTRY.reset_values()
+            scraped = self._scraped(run(jobs))
+            capsys.readouterr()
+            assert cli.main(["stats", "--json"]) == 0
+            profile = json.loads(capsys.readouterr().out)["profile"]
+            for surface, totals in (("registry", REGISTRY.totals()),
+                                    ("metricsz", scraped),
+                                    ("stats", profile)):
+                got = {k: totals.get(k, 0) for k in self.RUNNER_SERIES}
+                assert got == self.RUNNER_SERIES, (mode, surface)
+
+
 class TestBrokenPool:
     def test_worker_crash_falls_back_to_serial(self, monkeypatch):
         """A pool worker dying mid-batch loses its whole batch; the
         serial fallback must still return every spec exactly once,
         equal to a serial run, and count the broken pool."""
-        from repro.obs import PROFILER
         test_pid = os.getpid()
 
         def crash_in_worker():
@@ -280,11 +412,11 @@ class TestBrokenPool:
                  ("web_apache", "crash_in_worker"),
                  ("oltp_db_a", "baseline"), ("oltp_db_a", "nl"),
                  ("web_apache", "baseline")]
-        PROFILER.reset()
+        REGISTRY.reset_values()
         reported = []
         pooled = run_many(specs, jobs=2, n_records=RECORDS, scale=SCALE,
                           persistent=False, progress=reported.append)
-        assert PROFILER.counters["run_many.broken_pools"] == 1
+        assert REGISTRY.totals()["repro_pool_broken_total"] == 1
         # Every unique spec reports progress exactly once, whether the
         # pool delivered it before breaking or the fallback re-ran it.
         assert sorted((r.workload, r.scheme) for r in reported) == \

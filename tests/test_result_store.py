@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments import runner, store
 from repro.frontend import FrontendStats
+from repro.obs.metrics import REGISTRY
 from repro.workloads import tracegen
 
 RECORDS = 6_000
@@ -202,10 +203,10 @@ class TestRunSchemePersistence:
         # Drop the in-process memo: only the on-disk layer remains.
         runner.clear_cache()
         fresh_store.reset_counters()
-        sims_before = runner.simulations_run
+        sims_before = REGISTRY.totals().get("repro_runs_total", 0)
         r2 = runner.run_scheme("web_apache", "baseline",
                                n_records=RECORDS, scale=SCALE)
-        assert runner.simulations_run == sims_before, \
+        assert REGISTRY.totals().get("repro_runs_total", 0) == sims_before, \
             "warm persistent cache must skip simulation"
         assert fresh_store.hits == 1
         assert asdict(r1.stats) == asdict(r2.stats)

@@ -18,6 +18,7 @@ import threading
 import pytest
 
 from repro.experiments import runner, store
+from repro.obs.metrics import REGISTRY
 from repro.service import (
     Job,
     JobQueue,
@@ -284,12 +285,12 @@ class TestServiceRoundtrip:
         write, bit-identical digests for every client."""
         params = dict(workload="web_zeus", scheme="sn4l_dis",
                       n_records=RECORDS, scale=SCALE, baseline=False)
-        sims_before = runner.simulations_run
+        sims_before = REGISTRY.totals().get("repro_runs_total", 0)
         ids = [client.submit("run", **params) for _ in range(4)]
         jobs = [client.wait(job_id, timeout=300) for job_id in ids]
         digests = {job["result"]["digest_sha"] for job in jobs}
         assert len(digests) == 1
-        assert runner.simulations_run == sims_before + 1
+        assert REGISTRY.totals()["repro_runs_total"] == sims_before + 1
         result_files = [
             p for p in (fresh_cache.root / "results").glob("*/*.json")
             if not p.name.endswith(".manifest.json")]

@@ -26,7 +26,7 @@ import pytest
 
 from repro.experiments import runner, store
 from repro.frontend import FrontendStats
-from repro.obs import telemetry
+from repro.obs import REGISTRY, telemetry
 from repro.workloads import tracegen
 
 SRC = str(Path(store.__file__).resolve().parents[2])
@@ -300,7 +300,9 @@ class TestStoreRepoint:
 
 class TestStoreEventBus:
     def test_counts_and_listener_isolation(self):
-        before = telemetry.STORE_EVENT_COUNTS.get("unit-test-kind", 0)
+        before = telemetry.store_event_counts().get("unit-test-kind", 0)
+        errors = REGISTRY.totals().get(
+            "repro_store_listener_errors_total", 0)
         seen = []
         ok = telemetry.add_store_listener(
             lambda kind, fields: seen.append((kind, fields)))
@@ -314,9 +316,12 @@ class TestStoreEventBus:
         finally:
             telemetry.remove_store_listener(ok)
             telemetry.remove_store_listener(broken)
-        assert telemetry.STORE_EVENT_COUNTS["unit-test-kind"] == before + 1
-        # The broken listener neither blocked the event nor the others.
+        assert telemetry.store_event_counts()["unit-test-kind"] == before + 1
+        # The broken listener neither blocked the event nor the others,
+        # and its exception was counted, not lost.
         assert seen == [("unit-test-kind", {"detail": 7})]
+        assert REGISTRY.totals()["repro_store_listener_errors_total"] == \
+            errors + 1
 
     def test_remove_unknown_listener_is_noop(self):
         telemetry.remove_store_listener(lambda kind, fields: None)
