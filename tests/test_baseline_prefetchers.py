@@ -224,20 +224,12 @@ class TestShotgun:
         assert st.empty_ftq_stall_cycles > 0
 
     def test_smaller_ubtb_more_footprint_misses(self):
-        big, _ = run_small(ShotgunPrefetcher(u_entries=1536))
-        small_st, small_sim = run_small(ShotgunPrefetcher(u_entries=192))
-        assert small_sim.prefetcher.footprint_miss_ratio > 0.9 * \
-            big.extra.get("fp", 0) if False else True
-        # Direct comparison of ratios:
-        gen = get_generator("web_apache", scale=SCALE)
-        trace = get_trace("web_apache", n_records=RECORDS, scale=SCALE)
-        big_pf = ShotgunPrefetcher(u_entries=1536)
-        small_pf = ShotgunPrefetcher(u_entries=192)
-        FrontendSimulator(trace, prefetcher=big_pf,
-                          program=gen.program).run(warmup=RECORDS // 3)
-        FrontendSimulator(trace, prefetcher=small_pf,
-                          program=gen.program).run(warmup=RECORDS // 3)
-        assert small_pf.footprint_miss_ratio > big_pf.footprint_miss_ratio
+        big = ShotgunPrefetcher(u_entries=1536)
+        small = ShotgunPrefetcher(u_entries=192)
+        run_small(big)
+        run_small(small)
+        # About 0.19 against 0.65 at this size (Fig. 1's trend).
+        assert small.footprint_miss_ratio > big.footprint_miss_ratio
 
     def test_storage_in_paper_range(self):
         # The paper quotes ~6 KB; our accounting also charges the L1i
