@@ -3,7 +3,8 @@
 Times the frontend engine's hot path before and after this round of
 optimisation, on the same trace, across the full figure-16 scheme
 matrix (no-prefetcher baseline plus the SN4L / SN4L+Dis / full
-composite):
+composite) and Shotgun, the BTB-directed baseline it is compared
+against:
 
 * **legacy** — the pre-optimisation engine: generic per-record stepping
   (``run(fast=False)``) over a latency config that recomputes the NoC
@@ -47,6 +48,7 @@ MATRIX = (
     ("sn4l", "vectorized", 1.15),
     ("sn4l_dis", "vectorized", 1.15),
     ("sn4l_dis_btb", "vectorized", 1.1),
+    ("shotgun", "vectorized", 1.2),
 )
 
 

@@ -16,8 +16,8 @@ Shotgun divides BTB storage into three structures:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..isa import CACHE_BLOCK_SIZE, BranchKind
 
@@ -41,7 +41,7 @@ class RegionFootprint:
 
     def record(self, block: int) -> bool:
         rel = block - self.anchor_block + self.blocks_before
-        if 0 <= rel < self.span:
+        if 0 <= rel <= self.blocks_before + self.blocks_after:
             self.bits |= 1 << rel
             return True
         return False
@@ -86,11 +86,8 @@ class _AssocTable:
         self.hits = 0
         self.misses = 0
 
-    def _set_of(self, pc: int) -> OrderedDict:
-        return self._sets[(pc >> 2) % self.n_sets]
-
     def lookup(self, pc: int):
-        cset = self._set_of(pc)
+        cset = self._sets[(pc >> 2) % self.n_sets]
         entry = cset.get(pc)
         if entry is None:
             self.misses += 1
@@ -100,10 +97,10 @@ class _AssocTable:
         return entry
 
     def peek(self, pc: int):
-        return self._set_of(pc).get(pc)
+        return self._sets[(pc >> 2) % self.n_sets].get(pc)
 
     def insert(self, pc: int, entry) -> None:
-        cset = self._set_of(pc)
+        cset = self._sets[(pc >> 2) % self.n_sets]
         if pc in cset:
             cset[pc] = entry
             cset.move_to_end(pc)
@@ -118,15 +115,6 @@ class _AssocTable:
         return self.misses / total if total else 0.0
 
 
-@dataclass
-class _OpenRegion:
-    """A footprint being collected from the retire stream."""
-
-    owner_pc: int
-    footprint: RegionFootprint
-    is_call_footprint: bool
-
-
 class ShotgunBtb:
     """The three-way split BTB plus retired-stream footprint learning."""
 
@@ -138,7 +126,13 @@ class ShotgunBtb:
         self.c_btb = _AssocTable(c_entries, c_assoc, "c-btb")
         self.rib = _AssocTable(rib_entries, rib_assoc, "rib")
         self.block_size = block_size
-        self._open_regions: List[_OpenRegion] = []
+        #: The footprints being collected from the retire stream, both
+        #: owned by the last retired unconditional branch: its call
+        #: footprint (around the target) and, for a call, its return
+        #: footprint (around the return site).
+        self._owner_pc: Optional[int] = None
+        self._call_region: Optional[RegionFootprint] = None
+        self._return_region: Optional[RegionFootprint] = None
         # Footprint accounting for Fig. 1.
         self.footprint_accesses = 0
         self.footprint_misses = 0
@@ -190,57 +184,44 @@ class ShotgunBtb:
 
     # -- footprint learning from the retire stream -------------------------
 
-    MAX_OPEN_REGIONS = 4
-
     def retire_unconditional(self, pc: int, target: Optional[int],
                              kind: BranchKind,
                              return_site: Optional[int] = None) -> None:
         """An unconditional branch retired: close open regions, open new ones.
 
-        The *call footprint* region anchors at the target block; for calls,
-        a *return footprint* region anchors at the return-site block.
+        Closing installs each non-empty open footprint into its owner's
+        U-BTB entry, if the entry is still there.  The new *call
+        footprint* region anchors at the target block; for calls, a
+        *return footprint* region anchors at the return-site block.
         """
         self.insert_branch(pc, kind, target)
+        if self._owner_pc is not None:
+            owner = self.u_btb.peek(self._owner_pc)
+            if owner is not None:
+                if self._call_region:
+                    owner.call_footprint = self._call_region
+                if self._return_region:
+                    owner.return_footprint = self._return_region
+        self._owner_pc = self._call_region = self._return_region = None
         entry = self.u_btb.peek(pc)
-        self._open_regions = [
-            r for r in self._open_regions
-            if self._install_if_done(r) is False
-        ]
         if entry is None:
             return
         entry.prefilled = False
+        self._owner_pc = pc
         if target is not None:
-            self._open_regions.append(_OpenRegion(
-                owner_pc=pc,
-                footprint=RegionFootprint(anchor_block=target // self.block_size),
-                is_call_footprint=True))
+            self._call_region = RegionFootprint(
+                anchor_block=target // self.block_size)
         if kind is BranchKind.CALL and return_site is not None:
-            self._open_regions.append(_OpenRegion(
-                owner_pc=pc,
-                footprint=RegionFootprint(anchor_block=return_site // self.block_size),
-                is_call_footprint=False))
-        while len(self._open_regions) > self.MAX_OPEN_REGIONS:
-            self._install_region(self._open_regions.pop(0))
-
-    def _install_if_done(self, region: _OpenRegion) -> bool:
-        """Close every region when a new unconditional retires: install."""
-        self._install_region(region)
-        return True
-
-    def _install_region(self, region: _OpenRegion) -> None:
-        entry = self.u_btb.peek(region.owner_pc)
-        if entry is None or not region.footprint:
-            return
-        if region.is_call_footprint:
-            entry.call_footprint = region.footprint
-        else:
-            entry.return_footprint = region.footprint
+            self._return_region = RegionFootprint(
+                anchor_block=return_site // self.block_size)
 
     def retire_block_access(self, block_addr: int) -> None:
-        """Feed a retired demand block into all open footprint regions."""
+        """Feed a retired demand block into the open footprint regions."""
         block = block_addr // self.block_size
-        for region in self._open_regions:
-            region.footprint.record(block)
+        if self._call_region is not None:
+            self._call_region.record(block)
+        if self._return_region is not None:
+            self._return_region.record(block)
 
     # -- storage ------------------------------------------------------------
 

@@ -35,6 +35,7 @@ from . import runner
 from .runner import RunResult, run_scheme
 from ..obs.metrics import REGISTRY, inc, observe
 from ..obs.tracing import TRACER, TraceContext
+from ..workloads import get_profile
 
 ENV_JOBS = "REPRO_JOBS"
 
@@ -181,16 +182,28 @@ def _worker(batch: List[Payload]) -> List[WorkerResult]:
     return [_run_payload(payload) for payload in batch]
 
 
+def _build_cost(workload: str, scale: float) -> float:
+    """Estimated build cost of a program, from its profile: the
+    instructions laid out (functions x segments x block length), times
+    scale.  It orders web_frontend, web_zeus, web_apache and oltp_db_a
+    as their measured builds do."""
+    cfg = get_profile(workload).cfg
+    return cfg.n_functions * cfg.avg_segments * cfg.avg_block_instr * scale
+
+
 def _program_batches(payloads: List[Payload],
                      workers: int) -> List[List[Payload]]:
-    """Group pool payloads into one batch per program, largest first.
+    """Group pool payloads into one batch per program, largest build
+    first.
 
     A program is ``(workload, scale, variable_length)``: every spec on
     it shares the build (CFG, layout, pre-decode memos) and traces, so
     one worker running all of them builds it once instead of every
-    worker building every program.  While there are fewer batches than
-    workers the largest is split in half, so a fan-out over one program
-    (a service ``compare`` job) still uses the pool.
+    worker building every program.  The largest build starts first, so
+    no worker is left building it while the other idles at the end.
+    While there are fewer batches than workers the batch with the most
+    specs is split in half, so a fan-out over one program (a service
+    ``compare`` job) still uses the pool.
     """
     groups: Dict[Tuple, List[Payload]] = {}
     for payload in payloads:
@@ -198,13 +211,17 @@ def _program_batches(payloads: List[Payload],
         program = (payload[0], params.get("scale", 1.0),
                    params.get("variable_length", False))
         groups.setdefault(program, []).append(payload)
-    batches = sorted(groups.values(), key=len, reverse=True)
-    while len(batches) < workers and len(batches[0]) > 1:
-        largest = batches.pop(0)
+    batches = [(_build_cost(program[0], program[1]), specs)
+               for program, specs in groups.items()]
+    while len(batches) < workers:
+        i = max(range(len(batches)), key=lambda j: len(batches[j][1]))
+        cost, largest = batches[i]
+        if len(largest) == 1:
+            break
         half = (len(largest) + 1) // 2
-        batches += [largest[:half], largest[half:]]
-        batches.sort(key=len, reverse=True)
-    return batches
+        batches[i:i + 1] = [(cost, largest[:half]), (cost, largest[half:])]
+    batches.sort(key=lambda batch: (batch[0], len(batch[1])), reverse=True)
+    return [specs for _cost, specs in batches]
 
 
 def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,

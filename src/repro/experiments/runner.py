@@ -194,6 +194,15 @@ def cache_key(workload: str, scheme: str,
             tuple(sorted(overrides.items())), cache_key_extra)
 
 
+def count_run(n_records: int, seconds: float,
+              exemplar: Optional[Dict[str, str]] = None) -> None:
+    """Count one simulation in the registry: a run, its records and its
+    duration (every caller that simulates, so ``repro stats`` sees it)."""
+    inc("repro_runs_total")
+    inc("repro_records_simulated_total", float(n_records))
+    observe("repro_run_seconds", seconds, exemplar=exemplar)
+
+
 def run_scheme(workload: str, scheme: str,
                n_records: int = DEFAULT_RECORDS,
                warmup: Optional[int] = None,
@@ -279,12 +288,10 @@ def run_scheme(workload: str, scheme: str,
                             "scheme": scheme}) as eng_span:
         stats = sim.run(warmup=warmup)
     sim_elapsed = time.perf_counter() - sim_start
-    inc("repro_runs_total")
-    inc("repro_records_simulated_total", float(n_records))
-    observe("repro_run_seconds", sim_elapsed,
-            exemplar=({"trace_id": eng_span.trace_id,
-                       "span_id": eng_span.span_id}
-                      if eng_span is not None else None))
+    count_run(n_records, sim_elapsed,
+              exemplar=({"trace_id": eng_span.trace_id,
+                         "span_id": eng_span.span_id}
+                        if eng_span is not None else None))
 
     result = RunResult(workload=workload, scheme=scheme, stats=stats)
     result.extra["llc_avg_latency"] = sim.latency.average_latency

@@ -161,12 +161,23 @@ class FrontendSimulator:
         return self._predecoder
 
     def lookup_cache(self, addr: int, touch: bool = False) -> bool:
-        """Prefetcher-side L1i probe (counted as a cache lookup)."""
+        """Prefetcher-side L1i probe (counted as a cache lookup).
+
+        Probes the L1i set and the L1i prefetch buffer's entries
+        directly, as ``l1i.lookup`` and ``l1_prefetch_buffer.contains``
+        would.
+        """
         self.stats.cache_lookups += 1
-        if self.l1i.lookup(addr, touch=touch) is not None:
+        l1i = self.l1i
+        key = addr // l1i.block_size
+        cset = l1i._sets[key % l1i.n_sets]
+        if key in cset:
+            if touch:
+                cset.move_to_end(key)
             return True
-        return (self.l1_prefetch_buffer is not None
-                and self.l1_prefetch_buffer.contains(addr))
+        l1pb = self.l1_prefetch_buffer
+        return (l1pb is not None
+                and addr - addr % l1pb.block_size in l1pb._entries)
 
     def in_flight(self, addr: int) -> bool:
         return block_base(addr) in self.mshr
@@ -183,18 +194,27 @@ class FrontendSimulator:
         issuing component for telemetry attribution (defaults to the
         attached prefetcher's name when component telemetry is on).
         """
-        line = block_base(addr)
-        if probe_cache and self.lookup_cache(line):
+        # The L1i, L1i-prefetch-buffer and MSHR probes read the
+        # structures' dicts directly (``lookup_cache``, ``contains`` and
+        # ``in mshr`` without their call chains).
+        line = addr - addr % CACHE_BLOCK_SIZE
+        l1i = self.l1i
+        key = line // l1i.block_size
+        if probe_cache:
+            self.stats.cache_lookups += 1
+        if key in l1i._sets[key % l1i.n_sets]:
             return False
-        if not probe_cache and self.l1i.contains(line):
+        l1pb = self.l1_prefetch_buffer
+        if (probe_cache and l1pb is not None
+                and line - line % l1pb.block_size in l1pb._entries):
             return False
-        if line in self.mshr:
+        mshr = self.mshr
+        if line in mshr._entries:
             return False
         llc_hit = self.llc.access(line, is_instruction=True)
         at = self.prefetch_clock + delay
         lat = self.latency.request(at, llc_hit=llc_hit)
-        entry = self.mshr.issue(line, at, at + lat, is_prefetch=True)
-        if entry is None:
+        if not mshr.issue_prefetch_unchecked(line, at, at + lat):
             return False
         self.stats.prefetches_issued += 1
         if self.component_counters is not None:
@@ -684,22 +704,30 @@ class FrontendSimulator:
         return_k = 4     # BranchKind.RETURN
         indirect_k = 5   # BranchKind.INDIRECT
         cond_k = 1       # BranchKind.COND
-        # Inline-able fast legs.  Fills: the l1i insert + hooks of
-        # _apply_fill can be replayed locally when nothing observes them
-        # (no event log / component counters / L1 prefetch buffer) and
-        # the l1i is the plain cache whose set_capacity is constant.
+        # Inline-able fast legs.  Fills: the l1i (or L1i prefetch
+        # buffer) insert + hooks of _apply_fill can be replayed locally
+        # when nothing observes them (no event log / component counters)
+        # and the l1i is the plain cache whose set_capacity is constant.
         fill_fast = (log is None and self.component_counters is None
-                     and self.l1_prefetch_buffer is None
                      and type(l1i) is SetAssociativeCache)
         l1i_nsets = l1i.n_sets
         l1i_assoc = l1i.assoc
         l1i_bs = l1i.block_size
-        # Full demand misses (line absent from L1i and MSHR) inline the
-        # llc access + latency request + stall + fill sequence when the
-        # LLC is the plain variant and fills are inline-able; in-flight
-        # and prefetch-resident cases still delegate.
+        # Full demand misses (line absent from L1i, L1i prefetch buffer
+        # and MSHR) inline the llc access + latency request + stall +
+        # fill sequence when the LLC is the plain variant and fills are
+        # inline-able; wrong-path in-flight demands still delegate.
         llc = self.llc
         miss_fast = fill_fast and type(llc) is LastLevelCache
+        # The L1i prefetch buffer's legs (Shotgun, nl_buf..n8l_buf):
+        # prefetch fills go to the FIFO, and a demand that misses the
+        # L1i takes its block from the FIFO before the MSHR probe.
+        l1pb = self.l1_prefetch_buffer
+        buf_fast = miss_fast and l1pb is not None
+        if l1pb is not None:
+            pb_entries = l1pb._entries
+            pb_cap = l1pb.n_entries
+        pb_h = pb_m = 0
         # Frame-free CacheLine construction for the inline fill/llc legs.
         cl_new = CacheLine.__new__
         llc_sets = llc._sets
@@ -724,7 +752,6 @@ class FrontendSimulator:
         # kind) inlines when there is no event log; other kinds and the
         # logged case delegate.
         predictor_update = self.predictor.update
-        btb_check = self._btb_check
         wrong_path = self._wrong_path_touch
         stall = self._stall
         mispred_pen = cfg.mispredict_penalty
@@ -747,6 +774,10 @@ class FrontendSimulator:
         if btb_fast:
             btb_sets = btb._sets
             btb_nsets = btb.n_sets
+        else:
+            # Split (Shotgun) or AirBTB organisations: _btb_check with
+            # the structure's own lookup.
+            btb_lookup = btb.lookup
         perfect_btb = cfg.perfect_btb
         btb_miss_slow = self._btb_miss
         ras = self.ras
@@ -795,6 +826,21 @@ class FrontendSimulator:
                             default=INF)
                         for e in ready:
                             fline = e.line
+                            if l1pb is not None and e.is_prefetch:
+                                # _apply_fill's buffer leg: a prefetch
+                                # fills the FIFO (L1PrefetchBuffer.fill);
+                                # the overflow victim was useless.
+                                if fline in pb_entries:
+                                    pb_entries.move_to_end(fline)
+                                elif len(pb_entries) >= pb_cap:
+                                    pb_entries.popitem(last=False)
+                                    stats.prefetches_useless += 1
+                                pb_entries[fline] = (e.ready_cycle
+                                                     - e.issue_cycle)
+                                if on_fill_hook is not None:
+                                    self.prefetch_clock = cycle
+                                    on_fill_hook(fline, True, cycle)
+                                continue
                             fkey = fline // l1i_bs
                             fcset = sets[fkey % l1i_nsets]
                             ent = fcset.get(fkey)
@@ -862,9 +908,36 @@ class FrontendSimulator:
                             self.prefetch_clock = cycle
                             on_pf_hit(lines[idx], cycle)
                         outcome = hit_outcome
+                    elif (buf_fast and entry is None
+                          and lines[idx] in pb_entries):
+                        # Demand hit in the L1i prefetch buffer
+                        # (demand_core's buffer leg): take the block,
+                        # credit the prefetch and insert it into the
+                        # L1i, dropping the L1i victim.
+                        plat = pb_entries.pop(lines[idx])
+                        pb_h += 1
+                        d_hit += 1
+                        stats.prefetches_useful += 1
+                        stats.covered_latency += plat
+                        stats.prefetched_latency += plat
+                        if len(cset) >= l1i_assoc:
+                            cset.popitem(last=False)
+                        ent = cl_new(CacheLine)
+                        ent.addr = lines[idx]
+                        ent.is_prefetch = False
+                        ent.local_status = 0
+                        ent.is_instruction = True
+                        ent.fill_latency = 0
+                        cset[key] = ent
+                        outcome = hit_outcome
                     elif miss_fast and entry is None:
                         line = lines[idx]
                         inflight = mshr_entries.get(line)
+                        if l1pb is not None and (inflight is None
+                                                 or inflight.is_prefetch):
+                            # The buffer's take() missed (the delegated
+                            # wrong-path leg below takes for itself).
+                            pb_m += 1
                         if inflight is None:
                             # Full demand miss: _demand_access_core's
                             # last leg (llc access, latency request,
@@ -1067,7 +1140,11 @@ class FrontendSimulator:
                                     if e.target != record.branch_target:
                                         e.target = record.branch_target
                             else:
-                                btb_check(record)
+                                e = btb_lookup(bpc)
+                                if e is None:
+                                    btb_miss_slow(record)
+                                elif e.target != record.branch_target:
+                                    e.target = record.branch_target
                     elif cond_fast and (kind == jump_k or kind == call_k):
                         # _handle_branch's JUMP/CALL leg, inlined:
                         # BTB-check when taken; calls push the RAS.
@@ -1087,7 +1164,11 @@ class FrontendSimulator:
                                         if e.target != record.branch_target:
                                             e.target = record.branch_target
                                 else:
-                                    btb_check(record)
+                                    e = btb_lookup(bpc)
+                                    if e is None:
+                                        btb_miss_slow(record)
+                                    elif e.target != record.branch_target:
+                                        e.target = record.branch_target
                             if kind == call_k:
                                 # ras.push, inlined.
                                 if len(ras_stack) >= ras_depth:
@@ -1143,6 +1224,9 @@ class FrontendSimulator:
             btb.hits += btb_h
         if btb_m:
             btb.misses += btb_m
+        if pb_h or pb_m:
+            l1pb.hits += pb_h
+            l1pb.misses += pb_m
         self.cycle = cycle
         if prefetcher is None:
             self.prefetch_clock = rec_start

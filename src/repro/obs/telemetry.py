@@ -27,6 +27,7 @@ Three concerns live here:
 from __future__ import annotations
 
 import threading
+import time
 from collections import Counter, defaultdict
 from typing import Any, Callable, Dict, List, Mapping, Tuple
 
@@ -211,9 +212,9 @@ def component_report(workload: str, scheme: str, n_records: int = 20_000,
     cached result has no component attribution), mirroring the
     construction :func:`repro.experiments.runner.run_scheme` uses so the
     aggregate counters are identical to a cached run of the same
-    parameters.
+    parameters, and counts the run in the registry as it does.
     """
-    from ..experiments.runner import build_scheme
+    from ..experiments.runner import build_scheme, count_run
     from ..frontend import FrontendConfig, FrontendSimulator
     from ..workloads import get_generator, get_trace
 
@@ -228,5 +229,7 @@ def component_report(workload: str, scheme: str, n_records: int = 20_000,
                             prefetcher=prefetcher,
                             program=generator.program)
     counters = sim.enable_component_telemetry()
+    start = time.perf_counter()
     stats = sim.run(warmup=warmup)
+    count_run(n_records, time.perf_counter() - start)
     return stats, counters

@@ -10,7 +10,6 @@ runahead — is what Shotgun and the paper's proposal attack.
 
 from __future__ import annotations
 
-from ..frontend.engine import HIT
 from ..isa import BranchKind, block_base
 from .runahead import RunaheadPrefetcher
 
@@ -65,9 +64,6 @@ class BoomerangPrefetcher(RunaheadPrefetcher):
                 self.predecode_fills += 1
         # Indirect branches have no encoded target; the demand stream
         # trains them (the engine inserts on the redirect).
-
-    def on_demand(self, index, record, outcome, cycle) -> None:
-        super().on_demand(index, record, outcome, cycle)
 
     def storage_bytes(self) -> int:
         # Boomerang is metadata-free beyond its basic-block BTB and FTQ.

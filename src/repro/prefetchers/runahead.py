@@ -61,12 +61,23 @@ class RunaheadPrefetcher(Prefetcher):
         self.runahead_btb_misses = 0
         self.runahead_resyncs = 0
 
-    # -- scheme hook --------------------------------------------------------
+    def attach(self, sim) -> None:
+        super().attach(sim)
+        self.on_demand = self._bind_driver(*self._bind_hooks())
+
+    # -- scheme hooks -------------------------------------------------------
 
     def process_runahead(self, index: int, record) -> bool:
         """Handle one runahead record; return False to stop advancing
         (blocked or resynced)."""
         raise NotImplementedError
+
+    def _bind_hooks(self):
+        """``(step, observe)``, bound once at attach: the per-record
+        runahead step (:meth:`process_runahead` unless a scheme binds its
+        own) and an optional observer each demand block is fed to before
+        the runahead advances."""
+        return self.process_runahead, None
 
     # -- shared helpers -------------------------------------------------------
 
@@ -112,28 +123,47 @@ class RunaheadPrefetcher(Prefetcher):
 
     # -- driver ----------------------------------------------------------------
 
-    def on_demand(self, index, record, outcome, cycle) -> None:
+    def _bind_driver(self, step, observe):
+        """The ``on_demand`` hook, bound to the simulator's trace and the
+        scheme's hooks.  The runahead position is kept in a local and
+        stored once per call: no step reads ``_ra_idx``."""
+        pf = self
         sim = self.sim
-        if self._ra_idx <= index:
-            self._ra_idx = index + 1
-        if self._resync_idx is not None:
-            if index < self._resync_idx:
-                return
-            self._resync_idx = None
-        if cycle < self._blocked_until:
-            sim.runahead_blocked_until = max(sim.runahead_blocked_until,
-                                             self._blocked_until)
-            return
         trace = sim.trace
-        horizon = min(index + self.window, len(trace),
-                      self._ra_idx + self.advance_per_access)
-        while self._ra_idx < horizon:
-            i = self._ra_idx
-            record = trace[i]
-            if record.ctx_switch and i > index:
-                # An asynchronous request switch: no branch predictor can
-                # see past it.  Hold here until demand catches up.
-                break
-            self._ra_idx += 1
-            if not self.process_runahead(i, record):
-                break
+        records = getattr(trace, "records", trace)
+        n_records = len(trace)
+        window = self.window
+        advance = self.advance_per_access
+
+        def on_demand(index, record, outcome, cycle) -> None:
+            if observe is not None:
+                observe(record.line)
+            ra = pf._ra_idx
+            if ra <= index:
+                ra = pf._ra_idx = index + 1
+            if pf._resync_idx is not None:
+                if index < pf._resync_idx:
+                    return
+                pf._resync_idx = None
+            blocked = pf._blocked_until
+            if cycle < blocked:
+                if sim.runahead_blocked_until < blocked:
+                    sim.runahead_blocked_until = blocked
+                return
+            horizon = ra + advance
+            if horizon > index + window:
+                horizon = index + window
+            if horizon > n_records:
+                horizon = n_records
+            while ra < horizon:
+                record = records[ra]
+                if record.ctx_switch and ra > index:
+                    # An asynchronous request switch: no branch predictor
+                    # can see past it.  Hold here until demand catches up.
+                    break
+                ra += 1
+                if not step(ra - 1, record):
+                    break
+            pf._ra_idx = ra
+
+        return on_demand

@@ -147,6 +147,17 @@ class TestObservabilityCommands:
         assert "store" in payload and "profile" in payload
         assert "sn4l" in payload["components"]["per_component"]
 
+    def test_stats_counts_the_component_simulation(self, capsys):
+        from repro.obs.metrics import REGISTRY
+        REGISTRY.reset_values()
+        rc = main(["stats", "--workload", "web_apache", "--scheme", "nl",
+                   "--records", "3000", "--scale", "0.3", "--json"])
+        assert rc == 0
+        profile = json.loads(capsys.readouterr().out)["profile"]
+        assert profile["repro_runs_total"] == 1
+        assert profile["repro_records_simulated_total"] == 3000
+        assert profile["repro_run_seconds_count"] == 1
+
     def test_compare_json(self, capsys):
         rc = main(["compare", "--workload", "web_frontend",
                    "--schemes", "nl,sn4l", "--records", "8000",

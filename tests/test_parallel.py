@@ -187,13 +187,33 @@ class TestProgramBatches:
         payloads.append(self._payload("oltp_db_a", "shotgun",
                                       variable_length=True))
         batches = parallel._program_batches(payloads, workers=2)
-        assert [len(b) for b in batches] == [4, 3, 3, 1]
+        # Largest build first; the two oltp_db_a programs tie on build
+        # cost and the one with more specs leads.
+        assert [(b[0][0], len(b)) for b in batches] == [
+            ("oltp_db_a", 4), ("oltp_db_a", 1), ("web_apache", 3),
+            ("web_frontend", 3)]
         for batch in batches:
             programs = {(w, p["scale"], p["variable_length"])
                         for w, _s, p, _leg in batch}
             assert len(programs) == 1
         assert sorted(map(id, (p for b in batches for p in b))) == \
             sorted(map(id, payloads))
+
+    def test_fig16_batches_start_with_the_largest_build(self):
+        # Fig. 16's cold render: three equal batches, which first-seen
+        # order would start with web_frontend and end with oltp_db_a.
+        payloads = [self._payload(w, s, scale=1.0)
+                    for w in ("web_frontend", "web_apache", "oltp_db_a")
+                    for s in ("baseline", "confluence", "boomerang",
+                              "shotgun", "sn4l_dis_btb")]
+        batches = parallel._program_batches(payloads, workers=2)
+        assert [b[0][0] for b in batches] == [
+            "oltp_db_a", "web_apache", "web_frontend"]
+        assert [len(b) for b in batches] == [5, 5, 5]
+        zeus = parallel._build_cost("web_zeus", 1.0)
+        assert parallel._build_cost("web_frontend", 1.0) < zeus \
+            < parallel._build_cost("web_apache", 1.0) \
+            < parallel._build_cost("oltp_db_a", 1.0)
 
     def test_splits_until_every_worker_has_a_batch(self):
         payloads = [self._payload("web_apache", s)
