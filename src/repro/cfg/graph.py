@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..isa import BranchKind, Instruction
+from ..isa import FIXED_INSTRUCTION_SIZE, BranchKind, Instruction
 
 
 @dataclass
@@ -58,11 +58,15 @@ class BasicBlock:
     # Filled in by layout:
     addr: int = -1
     size: int = -1
-    instructions: List[Instruction] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.n_instr < 1:
             raise ValueError("a basic block holds at least one instruction")
+        # Derived by layout from the fields, so not fields themselves
+        # (they stay out of ``==`` and ``repr``): the terminator's
+        # instruction, and the instruction list once assigned or derived.
+        self._branch: Optional[Instruction] = None
+        self._instructions: Optional[List[Instruction]] = None
 
     @property
     def laid_out(self) -> bool:
@@ -77,9 +81,42 @@ class BasicBlock:
     @property
     def branch(self) -> Optional[Instruction]:
         """The terminator instruction, once laid out."""
-        if self.terminator is None or not self.instructions:
-            return None
-        return self.instructions[-1]
+        return self._branch
+
+    @branch.setter
+    def branch(self, instr: Optional[Instruction]) -> None:
+        self._branch = instr
+        self._instructions = None
+
+    @property
+    def instructions(self) -> List[Instruction]:
+        """Every instruction of the block, in address order.
+
+        A variable-length layout assigns the list (each size is drawn).
+        On the fixed-length ISA it is derived on first read: the
+        non-branches are the ``FIXED_INSTRUCTION_SIZE``-byte slots from
+        ``addr`` on and the terminator comes last, so a build holds one
+        :class:`Instruction` per terminated block, not one per
+        instruction.  Empty before layout.
+        """
+        instrs = self._instructions
+        if instrs is None:
+            if not self.laid_out:
+                return []
+            branch = self._branch
+            step = FIXED_INSTRUCTION_SIZE
+            instrs = [Instruction(self.addr + step * i, step)
+                      for i in range(self.n_instr - (branch is not None))]
+            if branch is not None:
+                instrs.append(branch)
+            self._instructions = instrs
+        return instrs
+
+    @instructions.setter
+    def instructions(self, instrs: List[Instruction]) -> None:
+        self._instructions = instrs
+        self._branch = (instrs[-1] if self.terminator is not None and instrs
+                        else None)
 
 
 @dataclass

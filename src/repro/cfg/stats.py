@@ -90,10 +90,10 @@ def analyze_program(program: Program) -> ProgramStats:
             n_instr += blk.n_instr
             if blk.is_cold:
                 n_cold += 1
-            for instr in blk.instructions:
-                if instr.is_branch:
-                    n_branches += 1
-                    branch_mix[instr.kind.name] += 1
+            branch = blk.branch
+            if branch is not None:
+                n_branches += 1
+                branch_mix[branch.kind.name] += 1
 
     branches_per_line = [len(program.branch_byte_offsets(line))
                          for line in program.lines()]
