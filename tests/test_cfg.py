@@ -14,7 +14,12 @@ from repro.cfg import (
     generate_cfg,
     layout_program,
 )
-from repro.isa import BranchKind, CACHE_BLOCK_SIZE
+from repro.isa import (
+    CACHE_BLOCK_SIZE,
+    MAX_VARIABLE_SIZE,
+    MIN_VARIABLE_SIZE,
+    BranchKind,
+)
 
 
 def tiny_cfg():
@@ -172,13 +177,16 @@ class TestLayout:
         cfg = generate_cfg(CfgParams(n_functions=20), seed=2)
         program = layout_program(cfg, variable_length=True)
         assert program.variable_length
+        sizes = set()
         for blk in cfg.iter_blocks():
-            sizes = {instr.size for instr in blk.instructions}
-            if len(blk.instructions) > 3:
-                # VL programs actually vary instruction sizes.
-                pass
+            sizes.update(instr.size for instr in blk.instructions)
             for instr in blk.instructions:
                 assert program.segment.decode_at(instr.pc) == instr
+        # VL programs actually vary instruction sizes, within the ISA's
+        # bounds.
+        assert len(sizes) > 1
+        assert min(sizes) >= MIN_VARIABLE_SIZE
+        assert max(sizes) <= MAX_VARIABLE_SIZE
 
     def test_spans_cover_all_instructions(self):
         cfg = generate_cfg(CfgParams(n_functions=20), seed=3)
