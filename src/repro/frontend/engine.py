@@ -617,9 +617,12 @@ class FrontendSimulator:
         n = len(records)
         if fast and self.datapath is None:
             self.engine_path = "vectorized"
-            self._vector_view = engine_view(records, self.l1i.block_size,
-                                            self.l1i.n_sets,
-                                            self.config.fetch_width)
+            geometry = (self.l1i.block_size, self.l1i.n_sets,
+                        self.config.fetch_width)
+            # A Trace memoises its view; a bare record list gets its own.
+            self._vector_view = (self.trace.engine_view(*geometry)
+                                 if isinstance(self.trace, Trace)
+                                 else engine_view(records, *geometry))
             span = self._run_span_vector
         else:
             self.engine_path = "generic"

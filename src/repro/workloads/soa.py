@@ -46,8 +46,10 @@ def engine_view(records: Sequence, block_size: int, n_sets: int,
     geometry and fetch width.
 
     The snapshot is taken eagerly: later mutation of the source records
-    (e.g. ``mark_sequential``) does not leak into a view already built,
-    which is why the engine builds one per ``run()``.
+    (e.g. ``mark_sequential``) does not leak into a view already built.
+    A :class:`~repro.workloads.trace.Trace`, whose records are not
+    mutated once built, memoises its views; the engine builds one per
+    ``run()`` only for a bare record list.
     """
     lines = [r.line for r in records]
     n_instr = [r.n_instr for r in records]

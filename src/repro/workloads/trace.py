@@ -9,9 +9,10 @@ discontinuity) and BTB event is expressible on it.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..isa import CACHE_BLOCK_SIZE, BranchKind
+from .soa import EngineView, engine_view
 
 NO_ADDR = -1
 
@@ -62,11 +63,28 @@ class FetchRecord:
 
 
 class Trace:
-    """A finished fetch trace plus cheap aggregate statistics."""
+    """A finished fetch trace plus cheap aggregate statistics.
+
+    Its records are not mutated once the trace is built, so the engine's
+    struct-of-arrays view of them is derived once per cache geometry and
+    fetch width (:meth:`engine_view`) and shared by every simulation of
+    the trace.
+    """
 
     def __init__(self, records: List[FetchRecord], name: str = ""):
         self.records = records
         self.name = name
+        self._views: Dict[Tuple[int, int, int], EngineView] = {}
+
+    def engine_view(self, block_size: int, n_sets: int,
+                    width: int) -> EngineView:
+        """The memoised :func:`~repro.workloads.soa.engine_view` of the
+        records for one geometry and fetch width."""
+        key = (block_size, n_sets, width)
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = engine_view(self.records, *key)
+        return view
 
     def __len__(self) -> int:
         return len(self.records)

@@ -15,7 +15,8 @@ tests pin that down three ways:
   must run on a variable-length program with the counters of the
   original implementation;
 * the SoA view must snapshot its records and derive the per-run arrays
-  exactly as the generic loop computes them per record.
+  exactly as the generic loop computes them per record, once per
+  geometry for a :class:`~repro.workloads.Trace`.
 
 Trace reconciliation (event stream vs aggregate counters) across all
 schemes rides in the same module because the event-logged run exercises
@@ -34,7 +35,7 @@ from repro.experiments.runner import build_scheme, run_scheme, scheme_names
 from repro.frontend import FrontendConfig, FrontendSimulator
 from repro.obs import reconcile, trace_run
 from repro.prefetchers import ShotgunPrefetcher
-from repro.workloads import FetchRecord, get_generator, get_trace
+from repro.workloads import FetchRecord, Trace, get_generator, get_trace
 from repro.workloads.soa import engine_view
 
 WORKLOADS = ("web_frontend", "oltp_db_a")
@@ -244,6 +245,38 @@ class TestEngineView:
         before = list(view.lines)
         records[0].line = records[0].line + 64
         assert view.lines == before
+
+    def test_trace_memoises_its_view(self, monkeypatch):
+        """Two simulators of one Trace build its view once and agree; a
+        bare record list still gets a view per run."""
+        import repro.frontend.engine as engine_mod
+        import repro.workloads.trace as trace_mod
+
+        built = []
+
+        def counting(records, *geometry):
+            built.append(geometry)
+            return engine_view(records, *geometry)
+
+        monkeypatch.setattr(trace_mod, "engine_view", counting)
+        monkeypatch.setattr(engine_mod, "engine_view", counting)
+        records = get_trace("web_frontend", n_records=3000).records
+        program = get_generator("web_frontend").program
+
+        def simulate(trace):
+            prefetcher, overrides = build_scheme("sn4l_dis_btb")
+            sim = FrontendSimulator(trace,
+                                    config=FrontendConfig(**overrides),
+                                    prefetcher=prefetcher, program=program)
+            return asdict(sim.run(warmup=1000))
+
+        trace = Trace(list(records), name="memo")
+        first, second = simulate(trace), simulate(trace)
+        assert len(built) == 1
+        assert first == second
+        assert simulate(list(records)) == first
+        assert simulate(list(records)) == first
+        assert len(built) == 3
 
     def test_engine_view_derivations(self):
         records = get_trace("oltp_db_a", n_records=256).records
