@@ -289,8 +289,7 @@ def _cmd_stats(args) -> int:
 
     if args.metrics:
         # The same Prometheus text a served process exposes at
-        # /metricsz, rendered from this process's registry (the store
-        # gauges are refreshed by their collector at render time).
+        # /metricsz, rendered from this process's registry.
         from .obs.metrics import render_metrics
         sys.stdout.write(render_metrics())
         return 0

@@ -40,8 +40,10 @@ Unbudgeted stores never evict (the code salt already bounds staleness).
 
 The store is shared by concurrent *processes* (parallel runner workers,
 ``repro serve`` clients) and, within the service, concurrent *threads*:
-writers publish with an atomic rename, readers treat unreadable entries
-as misses, and session counters are lock-protected.
+writers publish with an atomic rename and readers treat unreadable
+entries as misses.  The session counts (hits, misses, writes, ...) are
+``repro_store_ops_total`` counters in the metrics registry, so a pool
+worker's store traffic reaches the parent with its other metrics.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ import json
 import os
 import re
 import tempfile
-import threading
 import warnings
 import zipfile
 from dataclasses import asdict, is_dataclass
@@ -232,40 +233,40 @@ _TRACE_CORRUPTION = (OSError, ValueError, KeyError, EOFError,
                      zipfile.BadZipFile)
 
 
+#: The store's session counts, each a ``repro_store_ops_total{op}``
+#: series: ``corrupt`` entries existed but failed to parse (also counted
+#: as a miss: callers just re-simulate), ``invalidations`` were removed
+#: by :meth:`ResultStore.clear`, ``evicted`` by the LRU byte budget and
+#: ``migrated`` flat legacy entries were moved into their shard.
+STORE_OPS = ("hits", "misses", "corrupt", "writes", "invalidations",
+             "evicted", "migrated")
+
+
 class ResultStore:
     """On-disk store of simulation results and fetch traces.
 
     Concurrent-safe for the parallel runner and the async service:
-    writers publish with an atomic rename, readers treat any unreadable
-    entry as a miss, and session counters are guarded by a lock (the
-    service shares one store across request-handler threads).
+    writers publish with an atomic rename and readers treat any
+    unreadable entry as a miss.  Its session counts live in the
+    process's metrics registry (see :data:`STORE_OPS`), which is
+    lock-protected and folds in pool workers' counts.
     """
 
     def __init__(self, root: Optional[Path] = None,
                  budget_bytes: Optional[int] = None):
         self._root = Path(root) if root is not None else None
         self._budget = budget_bytes
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        #: Entries that existed but failed to parse (a corrupt read is
-        #: also counted as a miss — callers just re-simulate).
-        self.corrupt = 0
-        #: Entries removed by :meth:`clear`.
-        self.invalidations = 0
-        #: Entries removed by the LRU byte-budget policy.
-        self.evicted = 0
-        #: Flat legacy entries moved into their shard on access.
-        self.migrated = 0
 
     @property
     def root(self) -> Path:
         return self._root if self._root is not None else cache_root()
 
-    def _bump(self, name: str, n: int = 1) -> None:
-        with self._lock:
-            setattr(self, name, getattr(self, name) + n)
+    @staticmethod
+    def _bump(op: str, n: int = 1) -> None:
+        # Imported lazily, as in :func:`_notify`: repro.obs imports
+        # this module.
+        from ..obs.metrics import inc
+        inc("repro_store_ops_total", n, labels={"op": op})
 
     # -- byte budget ---------------------------------------------------
 
@@ -617,31 +618,19 @@ class ResultStore:
         self._bump("invalidations", removed)
         return removed
 
-    def reset_counters(self) -> None:
-        with self._lock:
-            self.hits = self.misses = self.writes = 0
-            self.corrupt = self.invalidations = 0
-            self.evicted = self.migrated = 0
+    @staticmethod
+    def reset_counters() -> None:
+        """Zero the session counts."""
+        from ..obs.metrics import REGISTRY
+        REGISTRY.reset_values("repro_store_ops_total")
 
-    def adopt_counters(self, other: "ResultStore") -> None:
-        """Carry another store's session counters into this one.
-
-        Used when the process-wide singleton is re-pointed at a new
-        cache directory: the session totals keep accumulating instead
-        of silently resetting to zero.
-        """
-        theirs = other.counters()
-        with self._lock:
-            for name, value in sorted(theirs.items()):
-                setattr(self, name, getattr(self, name) + value)
-
-    def counters(self) -> Dict[str, int]:
-        """Session counters: hit/miss/corrupt/write/evict/..."""
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses,
-                    "corrupt": self.corrupt, "writes": self.writes,
-                    "invalidations": self.invalidations,
-                    "evicted": self.evicted, "migrated": self.migrated}
+    @staticmethod
+    def counters() -> Dict[str, int]:
+        """Session counts of this process and the pool workers it has
+        merged: hit/miss/corrupt/write/evict/..."""
+        from ..obs.metrics import REGISTRY
+        series = REGISTRY.values("repro_store_ops_total")
+        return {op: int(series.get((("op", op),), 0)) for op in STORE_OPS}
 
     def overview(self) -> Dict[str, Any]:
         """On-disk inventory: entry counts and byte totals per kind.
@@ -751,8 +740,8 @@ def get_store() -> Optional[ResultStore]:
 
     The singleton's root is pinned at creation; when ``REPRO_CACHE_DIR``
     changes mid-process the store is re-pointed at the new directory,
-    the session counters carry over, and a ``repoint`` telemetry event
-    records the move (they used to silently reset to zero).
+    the session counters (registry counters) carry over, and a
+    ``repoint`` telemetry event records the move.
     """
     global _STORE
     if not caching_enabled():
@@ -763,13 +752,14 @@ def get_store() -> Optional[ResultStore]:
     elif _STORE.root != root:
         old = _STORE
         _STORE = ResultStore(root)
-        _STORE.adopt_counters(old)
         _notify("repoint", old_root=str(old.root), new_root=str(root),
                 carried=old.counters())
     return _STORE
 
 
 def reset_store() -> None:
-    """Drop the singleton (tests re-point ``REPRO_CACHE_DIR``)."""
+    """Drop the singleton and zero its session counts (tests re-point
+    ``REPRO_CACHE_DIR``)."""
     global _STORE
     _STORE = None
+    ResultStore.reset_counters()

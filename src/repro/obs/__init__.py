@@ -10,9 +10,9 @@ through the engine, the prefetchers, the experiment runner and the CLI:
   store's lifecycle events;
 * :mod:`repro.obs.metrics` — the process-wide ``REGISTRY``, the one
   place counts and durations add up: ``run_scheme`` runs and cache
-  hits, pool wall times, store events and the service's own metrics,
-  rendered by ``repro stats`` and ``/metricsz`` and shipped home by
-  pool workers;
+  hits, pool wall times, store counts and events and the service's own
+  metrics, rendered by ``repro stats`` and ``/metricsz`` and shipped
+  home by pool workers;
 * :mod:`repro.obs.tracing` — streaming JSONL event traces
   (``repro run --trace out.jsonl``) and their readers, plus the
   request-scoped spans of the served simulator;

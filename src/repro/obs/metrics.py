@@ -7,8 +7,8 @@ report into one :class:`MetricsRegistry` (the module-level
 
 * **counters** — monotonic totals (``inc``), optionally labelled;
 * **gauges** — last-write-wins levels (``set_gauge``), typically fed by
-  *collectors* — callbacks sampled right before every export (queue
-  depth, store session counters);
+  *collectors* — callbacks sampled right before every export (the
+  service's queue depth);
 * **histograms** — fixed log-spaced buckets (p50/p95/p99 are derived
   from the cumulative bucket counts, see :func:`quantile_from_buckets`)
   whose bucket lines carry OpenMetrics-style *exemplars*: the span/trace
@@ -25,14 +25,15 @@ kinds: observing an undeclared metric raises under ``__debug__`` and
 degrades to an implicit declaration otherwise.
 
 It is the one place where counts and durations add up: the runner's
-cache hits, the pool's wall times and the persistent store's lifecycle
-events are registry metrics too, so ``repro stats``, ``/metricsz`` and
-pool workers all read and ship the same numbers.
+cache hits, the pool's wall times and the persistent store's session
+counts and lifecycle events are registry metrics too, so ``repro
+stats``, ``/metricsz`` and pool workers all read and ship the same
+numbers.
 
 Everything is guarded by one lock: the service observes from
 ``to_thread`` executor threads and the event loop concurrently.
 Collectors run *outside* the lock (they may take other locks, e.g. the
-store's counter lock).
+job queue's).
 """
 
 from __future__ import annotations
@@ -347,7 +348,7 @@ class MetricsRegistry:
     # -- collectors ----------------------------------------------------
 
     def add_collector(self, collector: Collector) -> Collector:
-        """Register a pre-export sampler (queue depth, store counters)."""
+        """Register a pre-export sampler (e.g. the queue depth)."""
         with self._lock:
             if collector not in self._collectors:
                 self._collectors.append(collector)
@@ -457,8 +458,8 @@ class MetricsRegistry:
 
         The parallel runner carries each pool worker's metrics back
         through here: counters and histogram buckets add.  Gauges never
-        cross processes — they sample one process's state (its store
-        session, the service queue) — so any in the snapshot are
+        cross processes — they sample one process's state (the service
+        queue) — so any in the snapshot are
         ignored.  Unknown names are folded in as implicitly declared —
         the worker ran the same code, so in practice they are always
         declared here too.
@@ -488,10 +489,13 @@ class MetricsRegistry:
                     metric.sums[labels] += float(row.get("sum", 0.0))
                     metric.totals[labels] += int(row.get("count", 0))
 
-    def reset_values(self) -> None:
-        """Zero every series, keep declarations and collectors (tests)."""
+    def reset_values(self, name: Optional[str] = None) -> None:
+        """Zero every series (or only ``name``'s), keep declarations and
+        collectors."""
         with self._lock:
-            for metric in self._metrics.values():
+            for key, metric in self._metrics.items():
+                if name is not None and key != name:
+                    continue
                 if isinstance(metric, _Histogram):
                     metric.counts.clear()
                     metric.sums.clear()
@@ -626,6 +630,9 @@ declare_counter("repro_run_cache_hits_total",
                 "layer (memo, store)")
 declare_counter("repro_pool_broken_total",
                 "run_many process pools that broke and fell back to serial")
+declare_counter("repro_store_ops_total",
+                "persistent store session counts, by op (hits, misses, "
+                "corrupt, writes, invalidations, evicted, migrated)")
 declare_counter("repro_store_events_total",
                 "persistent store lifecycle events, by kind "
                 "(corrupt, evict, repoint)")
@@ -637,17 +644,6 @@ declare_gauge("repro_job_queue_depth", "jobs waiting in the bounded queue")
 declare_gauge("repro_jobs_running", "jobs currently executing")
 declare_gauge("repro_jobs_inflight",
               "distinct fingerprints currently executing (dedupe groups)")
-declare_gauge("repro_store_hits", "persistent store session hits")
-declare_gauge("repro_store_misses", "persistent store session misses")
-declare_gauge("repro_store_writes", "persistent store session writes")
-declare_gauge("repro_store_corrupt",
-              "persistent store entries that failed to parse")
-declare_gauge("repro_store_evicted",
-              "entries removed by the LRU byte budget this session")
-declare_gauge("repro_store_migrated",
-              "flat legacy entries moved into their shard this session")
-declare_gauge("repro_store_invalidations",
-              "entries removed by clear() this session")
 
 declare_histogram("repro_job_latency_seconds",
                   "job wall time, submission to terminal state")
@@ -664,27 +660,3 @@ declare_histogram("repro_pool_overhead_seconds",
                   "spin-up, pickling, queue wait, idle workers")
 declare_histogram("repro_pool_task_seconds",
                   "worker wall time of one pooled spec")
-
-
-def _store_collector() -> None:
-    """Sample the persistent store's session counters into gauges.
-
-    Imported lazily for the same reason
-    :func:`repro.experiments.store._notify` is: the store must not
-    import its observers at module load.
-    """
-    from ..experiments import store as result_store
-    st = result_store.get_store()
-    if st is None:
-        return
-    counters = st.counters()
-    set_gauge("repro_store_hits", counters["hits"])
-    set_gauge("repro_store_misses", counters["misses"])
-    set_gauge("repro_store_writes", counters["writes"])
-    set_gauge("repro_store_corrupt", counters["corrupt"])
-    set_gauge("repro_store_evicted", counters["evicted"])
-    set_gauge("repro_store_migrated", counters["migrated"])
-    set_gauge("repro_store_invalidations", counters["invalidations"])
-
-
-REGISTRY.add_collector(_store_collector)

@@ -88,10 +88,13 @@ def build_snapshot(parsed: Parsed,
     """
     jobs: Dict[str, Any] = dict(storez.get("jobs", {}))
     store_info: Dict[str, Any] = dict(storez.get("store", {}))
+    # /storez reads the registry's store counts; a payload without them
+    # falls back to the same series scraped from /metricsz.
     counters = dict(store_info.get("counters", {}))
-    hits = float(counters.get("hits", _total(parsed, "repro_store_hits")))
-    misses = float(counters.get("misses",
-                                _total(parsed, "repro_store_misses")))
+    for labels, value in parsed.get("repro_store_ops_total", []):
+        counters.setdefault(labels.get("op", ""), value)
+    hits = float(counters.get("hits", 0.0))
+    misses = float(counters.get("misses", 0.0))
     looked = hits + misses
     latency: Dict[str, Optional[float]] = {}
     waits: Dict[str, Optional[float]] = {}
@@ -116,12 +119,9 @@ def build_snapshot(parsed: Parsed,
             "hits": hits,
             "misses": misses,
             "hit_ratio": hits / looked if looked else None,
-            "evicted": float(counters.get(
-                "evicted", _total(parsed, "repro_store_evicted"))),
-            "corrupt": float(counters.get(
-                "corrupt", _total(parsed, "repro_store_corrupt"))),
-            "writes": float(counters.get(
-                "writes", _total(parsed, "repro_store_writes"))),
+            "evicted": float(counters.get("evicted", 0.0)),
+            "corrupt": float(counters.get("corrupt", 0.0)),
+            "writes": float(counters.get("writes", 0.0)),
         },
         "shards": shards,
         "latency": latency,

@@ -72,9 +72,9 @@ class TestAdversarialReads:
         fresh_store.result_path(fp).write_text(full[:len(full) // 2])
         fresh_store.reset_counters()
         assert fresh_store.load_result(fp) is None
-        assert fresh_store.corrupt == 1
-        assert fresh_store.misses == 1
-        assert fresh_store.hits == 0
+        assert fresh_store.counters()["corrupt"] == 1
+        assert fresh_store.counters()["misses"] == 1
+        assert fresh_store.counters()["hits"] == 0
 
     def test_garbage_json_shapes(self, fresh_store):
         fp = store.fingerprint({"kind": "unit", "x": 11})
@@ -85,12 +85,12 @@ class TestAdversarialReads:
                                                      exist_ok=True)
             fresh_store.result_path(fp).write_text(garbage)
             assert fresh_store.load_result(fp) is None, repr(garbage)
-        assert fresh_store.corrupt == 6
+        assert fresh_store.counters()["corrupt"] == 6
 
     def test_missing_entry_is_plain_miss_not_corrupt(self, fresh_store):
         assert fresh_store.load_result("0" * 32) is None
-        assert fresh_store.misses == 1
-        assert fresh_store.corrupt == 0
+        assert fresh_store.counters()["misses"] == 1
+        assert fresh_store.counters()["corrupt"] == 0
 
     def test_runner_resimulates_over_corrupt_entry(self, fresh_store):
         r1 = runner.run_scheme("web_apache", "baseline",
@@ -103,7 +103,7 @@ class TestAdversarialReads:
         r2 = runner.run_scheme("web_apache", "baseline",
                                n_records=RECORDS, scale=SCALE)
         assert asdict(r1.stats) == asdict(r2.stats)
-        assert fresh_store.corrupt == 1
+        assert fresh_store.counters()["corrupt"] == 1
 
     def test_clear_survives_vanishing_entries(self, fresh_store,
                                               monkeypatch):
@@ -147,7 +147,7 @@ class TestAdversarialReads:
 
     def test_clear_on_empty_store(self, fresh_store):
         assert fresh_store.clear() == 0
-        assert fresh_store.invalidations == 0
+        assert fresh_store.counters()["invalidations"] == 0
 
 
 class TestFingerprint:
@@ -199,7 +199,7 @@ class TestRunSchemePersistence:
     def test_warm_cache_skips_simulation(self, fresh_store):
         r1 = runner.run_scheme("web_apache", "baseline",
                                n_records=RECORDS, scale=SCALE)
-        assert fresh_store.writes >= 1
+        assert fresh_store.counters()["writes"] >= 1
         # Drop the in-process memo: only the on-disk layer remains.
         runner.clear_cache()
         fresh_store.reset_counters()
@@ -208,7 +208,7 @@ class TestRunSchemePersistence:
                                n_records=RECORDS, scale=SCALE)
         assert REGISTRY.totals().get("repro_runs_total", 0) == sims_before, \
             "warm persistent cache must skip simulation"
-        assert fresh_store.hits == 1
+        assert fresh_store.counters()["hits"] == 1
         assert asdict(r1.stats) == asdict(r2.stats)
         assert r1.extra == r2.extra
 
@@ -244,12 +244,12 @@ class TestTraceStore:
     def test_warm_trace_loads_identically(self, fresh_store):
         t1 = tracegen.get_trace("web_apache", n_records=RECORDS,
                                 scale=SCALE)
-        assert fresh_store.writes >= 1
+        assert fresh_store.counters()["writes"] >= 1
         tracegen.clear_cache()
         fresh_store.reset_counters()
         t2 = tracegen.get_trace("web_apache", n_records=RECORDS,
                                 scale=SCALE)
-        assert fresh_store.hits == 1 and fresh_store.writes == 0
+        assert fresh_store.counters()["hits"] == 1 and fresh_store.counters()["writes"] == 0
         assert len(t1) == len(t2)
         assert all(a.line == b.line and a.first_pc == b.first_pc
                    and a.n_instr == b.n_instr and a.taken == b.taken

@@ -7,7 +7,7 @@ Four bugs, each with the failure mode it guards against:
   silently splitting fingerprint-identical runs into distinct cache
   keys across processes.
 * ``load_trace`` used an ``exists()`` probe (TOCTOU) and forgot to
-  count parse failures in ``self.corrupt``.
+  count parse failures as corrupt.
 * ``append_jsonl`` wrote through a buffered text-mode handle — lines
   longer than the stdio buffer flush in chunks and tear under
   concurrent appenders.
@@ -146,9 +146,9 @@ class TestTraceCorruption:
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         fresh_store.reset_counters()
         assert fresh_store.load_trace(fp) is None
-        assert fresh_store.corrupt == 1
-        assert fresh_store.misses == 1
-        assert fresh_store.hits == 0
+        assert fresh_store.counters()["corrupt"] == 1
+        assert fresh_store.counters()["misses"] == 1
+        assert fresh_store.counters()["hits"] == 0
 
     def test_corrupt_trace_emits_telemetry(self, fresh_store):
         trace = tracegen.get_trace("web_apache", n_records=4_000, scale=0.3)
@@ -166,8 +166,8 @@ class TestTraceCorruption:
 
     def test_missing_trace_is_plain_miss(self, fresh_store):
         assert fresh_store.load_trace("f" * 32) is None
-        assert fresh_store.misses == 1
-        assert fresh_store.corrupt == 0
+        assert fresh_store.counters()["misses"] == 1
+        assert fresh_store.counters()["corrupt"] == 0
 
     def test_trace_vanishing_after_probe_is_a_miss(self, fresh_store,
                                                    monkeypatch):
@@ -187,8 +187,8 @@ class TestTraceCorruption:
         monkeypatch.setattr(serialize, "load_trace", racing_load)
         fresh_store.reset_counters()
         assert fresh_store.load_trace(fp) is None
-        assert fresh_store.misses == 1
-        assert fresh_store.corrupt == 0
+        assert fresh_store.counters()["misses"] == 1
+        assert fresh_store.counters()["corrupt"] == 0
         assert path.exists() is False
 
 
@@ -245,13 +245,13 @@ class TestStoreRepoint:
         first = store.get_store()
         first.save_result(store.fingerprint({"kind": "re", "x": 1}),
                           FrontendStats(), {})
-        assert first.writes == 1
+        assert first.counters()["writes"] == 1
         monkeypatch.setenv(store.ENV_CACHE_DIR, str(dir_b))
         second = store.get_store()
         assert second is not first
         assert second.root == dir_b
         # The session total survives the re-point (it used to reset).
-        assert second.writes == 1
+        assert second.counters()["writes"] == 1
         store.reset_store()
 
     def test_repoint_emits_telemetry(self, tmp_path, monkeypatch):
@@ -288,14 +288,7 @@ class TestStoreRepoint:
             t.start()
         for t in threads:
             t.join()
-        assert fresh_store.hits == n_threads * n_bumps
-
-    def test_adopt_counters_sums(self):
-        a, b = store.ResultStore(), store.ResultStore()
-        a.hits, a.writes = 3, 2
-        b.hits, b.corrupt = 4, 1
-        b.adopt_counters(a)
-        assert b.hits == 7 and b.writes == 2 and b.corrupt == 1
+        assert fresh_store.counters()["hits"] == n_threads * n_bumps
 
 
 class TestStoreEventBus:

@@ -82,12 +82,12 @@ class TestLegacyMigration:
         fresh_store.reset_counters()
         loaded = fresh_store.load_result(fp)
         assert loaded is not None and loaded[0].instructions == 9
-        assert fresh_store.hits == 1
-        assert fresh_store.migrated == 1
+        assert fresh_store.counters()["hits"] == 1
+        assert fresh_store.counters()["migrated"] == 1
         assert sharded.is_file() and not legacy.exists()
         # Second read comes straight from the shard.
         assert fresh_store.load_result(fp) is not None
-        assert fresh_store.migrated == 1
+        assert fresh_store.counters()["migrated"] == 1
 
     def test_flat_trace_is_read_and_migrated(self, fresh_store):
         trace = tracegen.get_trace("web_apache", n_records=RECORDS,
@@ -99,8 +99,8 @@ class TestLegacyMigration:
         fresh_store.reset_counters()
         loaded = fresh_store.load_trace(fp)
         assert loaded is not None and len(loaded) == len(trace)
-        assert fresh_store.hits == 1
-        assert fresh_store.migrated == 1
+        assert fresh_store.counters()["hits"] == 1
+        assert fresh_store.counters()["migrated"] == 1
         assert sharded.is_file() and not legacy.exists()
 
     def test_flat_manifest_is_readable(self, fresh_store):
@@ -193,7 +193,7 @@ class TestEviction:
         # Room for two entries: the two oldest must go.
         removed = fresh_store.evict(budget_bytes=2 * per_entry + 1)
         assert removed == 2
-        assert fresh_store.evicted == 2
+        assert fresh_store.counters()["evicted"] == 2
         assert not fresh_store.result_path(fps[0]).exists()
         assert not fresh_store.result_path(fps[1]).exists()
         assert fresh_store.result_path(fps[2]).is_file()
@@ -226,7 +226,7 @@ class TestEviction:
         # The write it made room for survives; the stale entry is gone.
         assert fresh_store.result_path(new_fp).is_file()
         assert not fresh_store.result_path(old_fp).exists()
-        assert fresh_store.evicted == 1
+        assert fresh_store.counters()["evicted"] == 1
 
     def test_eviction_emits_telemetry(self, fresh_store):
         events = []
