@@ -183,10 +183,12 @@ def _worker(batch: List[Payload]) -> List[WorkerResult]:
 
 
 def _build_cost(workload: str, scale: float) -> float:
-    """Estimated build cost of a program, from its profile: the
-    instructions laid out (functions x segments x block length), times
-    scale.  It orders web_frontend, web_zeus, web_apache and oltp_db_a
-    as their measured builds do."""
+    """Estimated build cost of a program, from its profile: its
+    instruction count (functions x segments x block length), times
+    scale.  A fixed-length build no longer makes an object per
+    instruction, so its time now follows the block count more closely;
+    the estimate still orders web_frontend, web_zeus, web_apache and
+    oltp_db_a as their measured builds do (docs/performance.md)."""
     cfg = get_profile(workload).cfg
     return cfg.n_functions * cfg.avg_segments * cfg.avg_block_instr * scale
 
