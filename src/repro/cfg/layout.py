@@ -36,12 +36,24 @@ FUNCTION_ALIGNMENT = 16
 class LineSpan:
     """The portion of one basic block that lives in one cache line."""
 
+    # Declared by hand: ``dataclass(slots=True)`` needs Python 3.10.
+    __slots__ = ("line_base", "first_pc", "n_instr", "has_terminator")
+
     line_base: int
     first_pc: int
     n_instr: int
     #: True when this span contains the block's terminator (always the
     #: last span of a block that has a terminator).
     has_terminator: bool
+
+    # Frozen slots reject the setattr that pickling and copying restore
+    # state with; these do what ``dataclass(slots=True)`` generates.
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
 
 
 class Program:

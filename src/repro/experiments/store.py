@@ -10,16 +10,22 @@ simulation cost again.  This module adds an on-disk layer:
   counters plus the runner's ``extra`` observables.
 * **Traces** — compressed ``.npz`` archives written through
   :mod:`repro.workloads.serialize`, so regenerating a workload's fetch
-  trace is a load instead of a CFG walk.
+  trace is a load instead of a CFG walk.  Traces are keyed by their
+  *stream* ``(workload profile, scale, ISA, sample)``, not by length: a
+  trace of n records is the first n records of every longer trace of
+  its stream, so one entry holds the longest prefix a process walked
+  and a load serves every shorter length.  A process rewrites the entry
+  only after walking further than it holds; the last writer wins, and
+  a racing writer's shorter prefix is still a correct one.
 
 Location: ``$REPRO_CACHE_DIR`` when set, else ``~/.cache/repro``.
 Set ``REPRO_CACHE_DISABLE=1`` to bypass the store entirely.
 
 Keys are content fingerprints: a SHA-256 over the canonical JSON of every
 input that can change the result (workload profile parameters, scheme
-name, config overrides, trace length, warmup, seed/sample, …) plus a
-*code salt* hashing the ``repro`` package sources — any code change
-invalidates every cached entry, which keeps "stale cache" bugs
+name, config overrides, a result's trace length, warmup, seed/sample,
+…) plus a *code salt* hashing the ``repro`` package sources — any code
+change invalidates every cached entry, which keeps "stale cache" bugs
 structurally impossible at the cost of a cold start per code edit.
 
 Layout
@@ -443,7 +449,13 @@ class ResultStore:
 
     # -- traces --------------------------------------------------------
 
-    def load_trace(self, fp: str):
+    def load_trace(self, fp: str, n_records: int = 0):
+        """The stored trace of a stream, or None on a miss.
+
+        An entry holds the longest prefix of its stream that a process
+        stored; one shorter than ``n_records`` is a miss, because the
+        caller must walk further.
+        """
         from ..workloads.serialize import load_trace
         path = self.trace_path(fp)
         legacy = self._legacy_path(path)
@@ -464,12 +476,17 @@ class ResultStore:
                 return None
             if candidate is legacy:
                 self._migrate(legacy, path)
+            if len(trace) < n_records:
+                break
             self._bump("hits")
             return trace
         self._bump("misses")
         return None
 
     def save_trace(self, fp: str, trace) -> Path:
+        """Store ``trace`` as its stream's entry.  Writers replace the
+        entry whole, so the last one wins; a racing writer's shorter
+        prefix is still a correct one."""
         from ..workloads.serialize import save_trace
         path = self.trace_path(fp)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -18,28 +18,25 @@ from .trace import FetchRecord, Trace
 
 FORMAT_VERSION = 1
 
+#: ``BranchKind`` by its stored value.
+_KINDS = {int(kind): kind for kind in BranchKind}
+
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     """Write ``trace`` to ``path`` (``.npz``, compressed)."""
-    n = len(trace)
-    line = np.empty(n, dtype=np.int64)
-    first_pc = np.empty(n, dtype=np.int64)
-    n_instr = np.empty(n, dtype=np.int32)
-    branch_pc = np.empty(n, dtype=np.int64)
-    branch_kind = np.empty(n, dtype=np.int8)
-    branch_target = np.empty(n, dtype=np.int64)
-    branch_size = np.empty(n, dtype=np.int16)
-    flags = np.empty(n, dtype=np.uint8)   # bit0 seq, bit1 taken, bit2 ctx
-    for i, r in enumerate(trace):
-        line[i] = r.line
-        first_pc[i] = r.first_pc
-        n_instr[i] = r.n_instr
-        branch_pc[i] = r.branch_pc
-        branch_kind[i] = int(r.branch_kind)
-        branch_target[i] = r.branch_target
-        branch_size[i] = r.branch_size
-        flags[i] = (int(r.seq) | (int(r.taken) << 1) |
-                    (int(r.ctx_switch) << 2))
+    records = trace.records
+    line = np.array([r.line for r in records], dtype=np.int64)
+    first_pc = np.array([r.first_pc for r in records], dtype=np.int64)
+    n_instr = np.array([r.n_instr for r in records], dtype=np.int32)
+    branch_pc = np.array([r.branch_pc for r in records], dtype=np.int64)
+    branch_kind = np.array([int(r.branch_kind) for r in records],
+                           dtype=np.int8)
+    branch_target = np.array([r.branch_target for r in records],
+                             dtype=np.int64)
+    branch_size = np.array([r.branch_size for r in records], dtype=np.int16)
+    # bit0 seq, bit1 taken, bit2 ctx
+    flags = np.array([r.seq | (r.taken << 1) | (r.ctx_switch << 2)
+                      for r in records], dtype=np.uint8)
     np.savez_compressed(
         Path(path),
         version=np.int64(FORMAT_VERSION),
@@ -54,7 +51,10 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
 
 def load_trace(path: Union[str, Path]) -> Trace:
     """Read a trace previously written by :func:`save_trace`."""
-    with np.load(Path(path), allow_pickle=False) as data:
+    # Opened here: ``np.load`` leaks its own handle when a truncated
+    # archive fails to parse.
+    with open(Path(path), "rb") as fh, \
+            np.load(fh, allow_pickle=False) as data:
         version = int(data["version"])
         if version != FORMAT_VERSION:
             raise ValueError(
@@ -65,24 +65,18 @@ def load_trace(path: Union[str, Path]) -> Trace:
             name = raw_name.tobytes().decode("utf-8")
         else:                               # older archives: numpy str_
             name = str(raw_name)
-        line = data["line"]
-        first_pc = data["first_pc"]
-        n_instr = data["n_instr"]
-        branch_pc = data["branch_pc"]
-        branch_kind = data["branch_kind"]
-        branch_target = data["branch_target"]
-        branch_size = data["branch_size"]
-        flags = data["flags"]
+        # Whole columns as Python ints, zipped: indexing a numpy array
+        # per element made a load slower than walking the trace again.
         records = [
-            FetchRecord(
-                line=int(line[i]), first_pc=int(first_pc[i]),
-                n_instr=int(n_instr[i]), seq=bool(flags[i] & 1),
-                branch_pc=int(branch_pc[i]),
-                branch_kind=BranchKind(int(branch_kind[i])),
-                branch_target=int(branch_target[i]),
-                branch_size=int(branch_size[i]),
-                taken=bool(flags[i] & 2),
-                ctx_switch=bool(flags[i] & 4))
-            for i in range(len(line))
+            FetchRecord(line, first_pc, n_instr, bool(flag & 1), branch_pc,
+                        kind, branch_target, branch_size, bool(flag & 2),
+                        bool(flag & 4))
+            for line, first_pc, n_instr, branch_pc, kind, branch_target,
+            branch_size, flag in zip(
+                data["line"].tolist(), data["first_pc"].tolist(),
+                data["n_instr"].tolist(), data["branch_pc"].tolist(),
+                [_KINDS[k] for k in data["branch_kind"].tolist()],
+                data["branch_target"].tolist(),
+                data["branch_size"].tolist(), data["flags"].tolist())
         ]
     return Trace(records, name=name)

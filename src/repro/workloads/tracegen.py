@@ -11,6 +11,8 @@ Dis's single-dominant-branch observation (Fig. 7) rely on.
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -114,30 +116,52 @@ class TraceGenerator:
             return True, ret_to.addr, ret_to
         return True, NO_ADDR, None  # request finished
 
-    def generate(self, n_records: int, sample: int = 0) -> Trace:
+    def start_walk(self, sample: int = 0) -> "Walk":
+        """A walk of this program from its start, for :meth:`generate`
+        to extend: sample ``sample`` is one seeded dynamic stream."""
+        params = self.profile.walk
+        rng = np.random.default_rng(self.profile.seed * 7919 + 13 * sample + 1)
+        contexts = [_RequestContext(self._pick_handler(rng))
+                    for _ in range(max(1, params.n_contexts))]
+        switch_p = 1.0 / max(1, params.switch_mean_records)
+        return Walk(sample, rng, contexts, int(rng.geometric(switch_p)))
+
+    def generate(self, n_records: int, sample: int = 0,
+                 walk: Optional["Walk"] = None) -> Trace:
         """Walk the program until ``n_records`` fetch records are emitted.
 
         ``n_contexts`` concurrent requests are interleaved, switching
         after a geometric number of records — the connection-multiplexed
         instruction stream a server core actually fetches.  The first
         record after a switch carries ``ctx_switch=True``.
+
+        Every draw depends only on the records already emitted, so a
+        trace is the first ``n_records`` records of every longer trace
+        of the same sample.  ``walk``, from :meth:`start_walk` with the
+        same ``sample``, is extended in place only as far as
+        ``n_records`` needs, so its records serve every shorter length;
+        without one the walk starts afresh.
         """
         if n_records <= 0:
             raise ValueError("n_records must be positive")
-        walk = self.profile.walk
-        rng = np.random.default_rng(self.profile.seed * 7919 + 13 * sample + 1)
-        records: List[FetchRecord] = []
-        prev_line = None
+        if walk is None:
+            walk = self.start_walk(sample)
+        elif walk.sample != sample:
+            raise ValueError(f"walk of sample {walk.sample} cannot extend "
+                             f"sample {sample}")
+        params = self.profile.walk
+        rng = walk.rng
+        records = walk.records
+        prev_line = walk.prev_line
         line_size = 64
-        budget = walk.request_max_records
+        budget = params.request_max_records
 
-        n_ctx = max(1, walk.n_contexts)
-        contexts = [_RequestContext(self._pick_handler(rng))
-                    for _ in range(n_ctx)]
-        active = 0
-        switch_p = 1.0 / max(1, walk.switch_mean_records)
-        switch_left = int(rng.geometric(switch_p))
-        pending_switch = False
+        contexts = walk.contexts
+        n_ctx = len(contexts)
+        active = walk.active
+        switch_p = 1.0 / max(1, params.switch_mean_records)
+        switch_left = walk.switch_left
+        pending_switch = walk.pending_switch
 
         while len(records) < n_records:
             ctx = contexts[active]
@@ -147,8 +171,8 @@ class TraceGenerator:
                 budget_spent=ctx.request_records >= budget)
             if nxt is None:
                 # Request done; the handler's return "targets" the next one.
-                phase = (len(records) // walk.phase_shift_records
-                         if walk.phase_shift_records else 0)
+                phase = (len(records) // params.phase_shift_records
+                         if params.phase_shift_records else 0)
                 ctx.cur = self._pick_handler(rng, phase=phase)
                 target_pc = ctx.cur.addr
                 ctx.request_records = 0
@@ -184,7 +208,32 @@ class TraceGenerator:
                 active = nxt_active
                 switch_left = int(rng.geometric(switch_p))
                 pending_switch = True
+        walk.prev_line = prev_line
+        walk.active = active
+        walk.switch_left = switch_left
+        walk.pending_switch = pending_switch
         return Trace(records[:n_records], name=self.profile.name)
+
+
+class Walk:
+    """Where a walk of one program stands: its records so far, the RNG
+    and the in-flight requests.  The walk ends on a block boundary, so
+    ``records`` may run a few records past the length last asked for.
+    """
+
+    __slots__ = ("sample", "rng", "records", "contexts", "active",
+                 "switch_left", "pending_switch", "prev_line")
+
+    def __init__(self, sample: int, rng: np.random.Generator,
+                 contexts: List["_RequestContext"], switch_left: int):
+        self.sample = sample
+        self.rng = rng
+        self.records: List[FetchRecord] = []
+        self.contexts = contexts
+        self.active = 0
+        self.switch_left = switch_left
+        self.pending_switch = False
+        self.prev_line: Optional[int] = None
 
 
 class _RequestContext:
@@ -207,6 +256,30 @@ _GENERATORS: Dict[Tuple[str, float, bool], TraceGenerator] = {}
 _TRACES: Dict[Tuple[str, float, bool, int, int], Trace] = {}
 
 
+class _Stream:
+    """The longest prefix of one trace stream this process holds and,
+    when the process walked that prefix itself, the walk that resumes
+    it.  The lock keeps two threads from extending one walk at once."""
+
+    __slots__ = ("lock", "records", "walk")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.records: List[FetchRecord] = []
+        self.walk: Optional[Walk] = None
+
+
+#: ``(name, scale, variable_length, sample)`` -> its stream.
+_STREAMS: Dict[Tuple[str, float, bool, int], _Stream] = {}
+
+
+# A forked child (a pool worker) has only the forking thread: a walk
+# another thread was extending, and the stream lock it held, would stay
+# half way for good.  Finished per-length traces are safe to inherit.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_STREAMS.clear)
+
+
 def get_generator(name: str, scale: float = 1.0,
                   variable_length: bool = False) -> TraceGenerator:
     """Memoised :class:`TraceGenerator` for a named workload."""
@@ -219,9 +292,10 @@ def get_generator(name: str, scale: float = 1.0,
     return gen
 
 
-def _trace_store_and_key(name: str, n_records: int, scale: float,
-                         variable_length: bool, sample: int):
-    """Persistent-store handle + fingerprint for one trace (or None)."""
+def _trace_store_and_key(name: str, scale: float, variable_length: bool,
+                         sample: int):
+    """Persistent-store handle + fingerprint for one trace stream (or
+    None): the entry serves every length of the stream."""
     # Imported lazily: workloads must not depend on experiments at
     # module-import time.
     from ..experiments import store as result_store
@@ -231,7 +305,6 @@ def _trace_store_and_key(name: str, n_records: int, scale: float,
     fp = result_store.fingerprint({
         "kind": "trace",
         "profile": get_profile(name),
-        "n_records": n_records,
         "scale": scale,
         "variable_length": variable_length,
         "sample": sample,
@@ -241,33 +314,64 @@ def _trace_store_and_key(name: str, n_records: int, scale: float,
 
 def get_trace(name: str, n_records: int = 200_000, scale: float = 1.0,
               variable_length: bool = False, sample: int = 0) -> Trace:
-    """Memoised trace for a named workload.
+    """Memoised trace for a named workload: the first ``n_records``
+    records of its stream ``(name, scale, variable_length, sample)``.
 
-    Misses fall through to the persistent store (``REPRO_CACHE_DIR``)
-    before the CFG walk regenerates the trace; round-tripping through
-    :mod:`repro.workloads.serialize` is lossless, so cached and freshly
-    generated traces are interchangeable.
+    One :class:`Trace` is memoised per length, so every simulation of
+    that length shares its engine views.  The process keeps the longest
+    prefix of each stream it has held; a shorter length is a slice of
+    it, and a longer one resumes the walk that produced it.  A stream
+    the process does not hold yet is first read from the persistent
+    store (``REPRO_CACHE_DIR``), which keeps one entry per stream;
+    round-tripping through :mod:`repro.workloads.serialize` is
+    lossless, so stored and freshly walked records are interchangeable.
     """
+    if n_records <= 0:
+        raise ValueError("n_records must be positive")
     key = (name, scale, variable_length, n_records, sample)
     trace = _TRACES.get(key)
-    if trace is None:
-        store, fp = _trace_store_and_key(name, n_records, scale,
-                                         variable_length, sample)
-        if store is not None:
-            trace = store.load_trace(fp)
+    if trace is not None:
+        return trace
+    stream_key = (name, scale, variable_length, sample)
+    stream = _STREAMS.setdefault(stream_key, _Stream())
+    with stream.lock:
+        trace = _TRACES.get(key)
         if trace is None:
-            trace = get_generator(name, scale, variable_length).generate(
-                n_records, sample=sample)
-            if store is not None:
-                try:
-                    store.save_trace(fp, trace)
-                except OSError:
-                    pass    # read-only cache dir: persistence is best-effort
-        _TRACES[key] = trace
+            trace = _TRACES[key] = _prefix(stream, stream_key, n_records)
+    return trace
+
+
+def _prefix(stream: _Stream, stream_key: Tuple[str, float, bool, int],
+            n_records: int) -> Trace:
+    """The first ``n_records`` records of ``stream``, loading or walking
+    it further when it is shorter (the caller holds its lock)."""
+    name, scale, variable_length, sample = stream_key
+    if len(stream.records) >= n_records:
+        return Trace(stream.records[:n_records], name=name)
+    store, fp = _trace_store_and_key(name, scale, variable_length, sample)
+    if store is not None and not stream.records:
+        loaded = store.load_trace(fp, n_records=n_records)
+        if loaded is not None:
+            stream.records = loaded.records
+            return Trace(loaded.records[:n_records], name=name)
+    gen = get_generator(name, scale, variable_length)
+    # A loaded prefix has no walk to resume, so it is walked again from
+    # the start.  The walk is detached while it runs: one cut short by
+    # an exception leaves its records a valid prefix but cannot resume.
+    walk = stream.walk or gen.start_walk(sample)
+    stream.walk = None
+    trace = gen.generate(n_records, sample=sample, walk=walk)
+    stream.records, stream.walk = walk.records, walk
+    if store is not None:
+        try:
+            store.save_trace(fp, Trace(walk.records, name=name))
+        except OSError:
+            pass    # read-only cache dir: persistence is best-effort
     return trace
 
 
 def clear_cache() -> None:
-    """Drop memoised generators and traces (tests use this)."""
+    """Drop memoised generators, traces and streams (tests use this)."""
     _GENERATORS.clear()
     _TRACES.clear()
+    _STREAMS.clear()

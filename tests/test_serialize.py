@@ -1,5 +1,8 @@
 """Tests for trace serialization (save/load round-trips)."""
 
+import os
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -62,6 +65,23 @@ class TestRoundTrip:
         loaded = load_trace(path)
         assert len(loaded) == 0 and loaded.name == "empty"
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts this process's open descriptors")
+    def test_truncated_archive_closes_its_file(self, trace, tmp_path):
+        path = tmp_path / "trace.npz"
+        save_trace(trace, path)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        open_fds = len(os.listdir("/proc/self/fd"))
+        try:
+            load_trace(path)
+        except zipfile.BadZipFile as exc:
+            # Its traceback keeps the loader's frames alive, so a handle
+            # they dropped without closing would still be open here.
+            held = exc
+        else:
+            pytest.fail("a truncated archive loaded")
+        assert len(os.listdir("/proc/self/fd")) == open_fds, held
+
     def test_version_check(self, trace, tmp_path):
         path = tmp_path / "trace.npz"
         save_trace(trace, path)
@@ -71,6 +91,29 @@ class TestRoundTrip:
         np.savez_compressed(path, **arrays)
         with pytest.raises(ValueError):
             load_trace(path)
+
+    def test_every_kind_and_flag_combination(self, tmp_path):
+        records = [
+            FetchRecord(line=64 * i, first_pc=64 * i + 4, n_instr=1 + i % 16,
+                        seq=bool(flags & 1), branch_pc=64 * i + 60,
+                        branch_kind=kind, branch_target=NO_ADDR - i,
+                        branch_size=i % 16, taken=bool(flags & 2),
+                        ctx_switch=bool(flags & 4))
+            for i, (kind, flags) in enumerate(
+                (kind, flags) for kind in BranchKind for flags in range(8))
+        ]
+        path = tmp_path / "kinds.npz"
+        save_trace(Trace(records, name="kinds"), path)
+        loaded = load_trace(path)
+        assert len(loaded) == len(records) == 8 * len(BranchKind)
+        for a, b in zip(records, loaded):
+            assert records_equal(a, b)
+            assert type(b.branch_kind) is BranchKind
+            assert all(type(getattr(b, f)) is bool
+                       for f in ("seq", "taken", "ctx_switch"))
+            assert all(type(getattr(b, f)) is int
+                       for f in ("line", "first_pc", "n_instr", "branch_pc",
+                                 "branch_target", "branch_size"))
 
     def test_compression_is_compact(self, trace, tmp_path):
         path = tmp_path / "trace.npz"
