@@ -12,12 +12,13 @@ its own footprint and branchiness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..isa import BranchKind
 from .graph import BasicBlock, ControlFlowGraph, Function, Terminator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -74,6 +75,7 @@ def zipf_cdf(span: int) -> np.ndarray:
     from the normalised weights, so :func:`draw_from_cdf` reproduces
     that call's draws bit for bit.
     """
+    import numpy as np
     weights = 1.0 / np.arange(1, span + 1, dtype=float)
     weights /= weights.sum()
     cdf = weights.cumsum()
@@ -104,6 +106,7 @@ class CfgGenerator:
     """
 
     def __init__(self, params: CfgParams, seed: int = 0):
+        import numpy as np
         self.params = params
         self.rng = np.random.default_rng(seed)
         self._next_bid = 0
@@ -214,7 +217,7 @@ class CfgGenerator:
                 extra = self._pick_callee(fid)
                 if extra is not None:
                     callees.add(extra)
-            probs = self.rng.dirichlet(np.ones(len(callees)) * 2.0)
+            probs = self.rng.dirichlet([2.0] * len(callees))
             term = Terminator(
                 BranchKind.INDIRECT,
                 indirect_callees=tuple(zip(sorted(callees), map(float, probs))),

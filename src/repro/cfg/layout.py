@@ -9,9 +9,7 @@ NXL prefetchers issue useless prefetches (paper Algorithm 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..isa import (
     CACHE_BLOCK_SIZE,
@@ -27,6 +25,9 @@ from ..isa import (
     TextSegment,
 )
 from .graph import BasicBlock, ControlFlowGraph, Terminator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TEXT_BASE = 0x10000
 FUNCTION_ALIGNMENT = 16
@@ -180,6 +181,7 @@ def _branch_target(cfg: ControlFlowGraph, term: Terminator) -> Optional[int]:
 def layout_program(cfg: ControlFlowGraph, variable_length: bool = False,
                    base: int = DEFAULT_TEXT_BASE, seed: int = 0) -> Program:
     """Assign addresses, build instructions and write the text segment."""
+    import numpy as np
     rng = np.random.default_rng(seed ^ 0x1A40)
 
     # Pass 1: sizes and addresses.  Only the variable-length ISA draws

@@ -12,8 +12,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-import numpy as np
-
 from ..isa import BranchKind
 from .graph import ControlFlowGraph
 from .layout import Program
@@ -43,19 +41,15 @@ class ProgramStats:
 
     @property
     def mean_function_bytes(self) -> float:
-        return float(np.mean(self.function_bytes)) if self.function_bytes \
-            else 0.0
+        return _mean(self.function_bytes)
 
     @property
     def mean_block_instrs(self) -> float:
-        return float(np.mean(self.block_instrs)) if self.block_instrs \
-            else 0.0
+        return _mean(self.block_instrs)
 
     @property
     def mean_branches_per_line(self) -> float:
-        if not self.branches_per_line:
-            return 0.0
-        return float(np.mean(self.branches_per_line))
+        return _mean(self.branches_per_line)
 
     def summary(self) -> str:
         mix = ", ".join(f"{k}: {v}" for k, v in sorted(self.branch_mix.items()))
@@ -72,6 +66,11 @@ class ProgramStats:
             f"branches/line   {self.mean_branches_per_line:.2f}",
             f"cold blocks     {self.cold_block_fraction:.1%}",
         ])
+
+
+def _mean(counts: List[int]) -> float:
+    """Mean of integer counts (0.0 for none)."""
+    return sum(counts) / len(counts) if counts else 0.0
 
 
 def analyze_program(program: Program) -> ProgramStats:

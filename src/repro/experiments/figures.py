@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-import numpy as np
-
 from ..analysis import (
     arithmetic_mean,
     comparison_table,
@@ -426,6 +424,7 @@ def dvllc_experiment(workload: str = "web_apache",
     compares instruction/data hit ratios.  The paper reports the
     instruction ratio unchanged and the data ratio dropping <= 0.1%.
     """
+    import numpy as np
     gen = get_generator(workload)
     trace = get_trace(workload, n_records=n_records)
     rng = np.random.default_rng(seed)

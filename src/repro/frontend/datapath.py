@@ -14,8 +14,6 @@ work; ``data_stall_fraction`` charges only the exposed remainder.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..isa import CACHE_BLOCK_SIZE
 from ..memory import SetAssociativeCache
 
@@ -33,6 +31,7 @@ class DataPathModel:
                  l1d_size: int = 32 * 1024, l1d_assoc: int = 8,
                  data_stall_fraction: float = 0.3,
                  seed: int = 11):
+        import numpy as np
         if heap_blocks <= 0:
             raise ValueError("heap must be non-empty")
         if not 0.0 <= data_stall_fraction <= 1.0:

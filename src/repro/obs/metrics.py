@@ -628,6 +628,8 @@ declare_counter("repro_records_simulated_total",
 declare_counter("repro_run_cache_hits_total",
                 "run_scheme calls served without simulating, by cache "
                 "layer (memo, store)")
+declare_counter("repro_program_builds_total",
+                "programs built (CFG, layout, pre-decode index), by workload")
 declare_counter("repro_pool_broken_total",
                 "run_many process pools that broke and fell back to serial")
 declare_counter("repro_store_ops_total",

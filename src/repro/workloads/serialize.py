@@ -11,8 +11,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
 from ..isa import BranchKind
 from .trace import FetchRecord, Trace
 
@@ -24,6 +22,7 @@ _KINDS = {int(kind): kind for kind in BranchKind}
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     """Write ``trace`` to ``path`` (``.npz``, compressed)."""
+    import numpy as np
     records = trace.records
     line = np.array([r.line for r in records], dtype=np.int64)
     first_pc = np.array([r.first_pc for r in records], dtype=np.int64)
@@ -51,6 +50,7 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
 
 def load_trace(path: Union[str, Path]) -> Trace:
     """Read a trace previously written by :func:`save_trace`."""
+    import numpy as np
     # Opened here: ``np.load`` leaks its own handle when a truncated
     # archive fails to parse.
     with open(Path(path), "rb") as fh, \

@@ -28,6 +28,10 @@ class TestDeterminismPack:
             ("DET003", 36),   # set comprehension source
         ]
 
+    def test_function_local_numpy_import_resolves(self):
+        _, got = findings_of("det_local_import.py")
+        assert got == [("DET002", 12)]
+
     def test_suppression_is_honoured_and_recorded(self):
         result, _ = findings_of("det_violations.py")
         assert [(f.rule, f.line) for f in result.suppressed] == \
