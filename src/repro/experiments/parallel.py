@@ -226,6 +226,21 @@ def _program_batches(payloads: List[Payload],
     return [specs for _cost, specs in batches]
 
 
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers fork with numpy loaded.
+
+    A process imports numpy, and then ``numpy.random``, which numpy
+    loads on first use, on its first program build, so another thread
+    (a served job) may be midway through either import when the pool
+    forks.  A worker forked then would inherit a half-loaded module and
+    its import lock, held by a thread the worker does not have, and
+    hang on its first build.  Importing both here waits such an import
+    out, and the workers inherit numpy instead of each importing it.
+    """
+    import numpy.random  # noqa: F401
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
              progress: Optional[Callable[[RunResult], None]] = None,
              **common) -> List[RunResult]:
@@ -293,7 +308,7 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
         workers = min(n_jobs, len(batches))
         pool_start = time.perf_counter()
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with _pool(workers) as pool:
                 busy = 0.0
                 for batch in pool.map(_worker, batches):
                     for key, result, elapsed, snapshot in batch:
@@ -344,7 +359,7 @@ def map_parallel(fn: Callable, items: Sequence,
     if n_jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     try:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(items))) as pool:
+        with _pool(min(n_jobs, len(items))) as pool:
             return list(pool.map(fn, items))
     except BrokenProcessPool:
         return [fn(item) for item in items]
