@@ -85,9 +85,14 @@ def main() -> None:
               f"{st.prefetch_accuracy:9.1%} "
               f"{pf.storage_bytes() / 1024:8.1f}K")
 
-    print("\nTo plug a scheme into the experiment harness, register a "
-          "factory in repro.experiments.runner.SCHEMES and every figure "
-          "driver, the CLI and the sampling machinery can use it.")
+    print("\nTo plug a scheme into the experiment harness, move the class "
+          "into an importable module and add an entry to "
+          "repro.experiments.runner.SCHEMES: its import path, its keyword "
+          "arguments and its FrontendConfig overrides, e.g.\n"
+          '    "stride_region": ("mypkg.stride.StrideRegionPrefetcher",\n'
+          '                      {"degree": 2}, {}),\n'
+          "Every figure driver, the CLI, the process pool and the sampling "
+          "machinery can then run it by name.")
 
 
 if __name__ == "__main__":

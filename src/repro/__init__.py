@@ -10,15 +10,27 @@ cycle-approximate frontend simulator.
 
 Quickstart::
 
-    from repro import get_trace
     from repro.experiments import run_scheme
 
+    base = run_scheme("web_apache", "baseline")
     result = run_scheme("web_apache", "sn4l_dis_btb")
-    print(result.speedup)
+    print(result.stats.speedup_over(base.stats))
+
+Package names resolve on first access (:mod:`repro._lazy`), so
+importing ``repro`` or reading a stored result loads no simulator.
 """
+
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .workloads import get_trace, workload_names
 
 __version__ = "1.0.0"
 
-from .workloads import get_trace, workload_names  # noqa: F401
-
 __all__ = ["get_trace", "workload_names", "__version__"]
+
+__getattr__ = lazy_exports(__name__, {
+    ".workloads": ("get_trace", "workload_names"),
+})

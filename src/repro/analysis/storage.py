@@ -63,7 +63,7 @@ def confluence_budget() -> Tuple[List[StorageItem], int]:
 
 #: Declared per-core metadata budget (bytes) for every registered
 #: scheme, the binding target of the BUD004 lint rule: the rule folds
-#: each ``SCHEMES`` factory's table geometry out of the source and
+#: each ``SCHEMES`` entry's table geometry out of the source and
 #: fails when the recomputed figure exceeds (or the scheme is missing
 #: from) this table.  The caps equal today's folds exactly, so *any*
 #: geometry drift — a bumped default left over from a sweep, a new zoo

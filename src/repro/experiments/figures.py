@@ -4,25 +4,18 @@ Each ``fig*`` / ``tab*`` function regenerates the data behind one figure or
 table of the paper's evaluation and returns it as plain dictionaries
 (workload -> value, or scheme -> value).  The benchmarks call these and
 print rows shaped like the paper's; EXPERIMENTS.md records the comparison.
+
+A driver that reads stored results imports only what that takes; the
+drivers that build a program, walk a trace or construct a prefetcher
+themselves import the simulator inside the function.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..analysis import (
-    arithmetic_mean,
-    comparison_table,
-    discontinuity_branch_predictability,
-    geometric_mean,
-    next4_pattern_predictability,
-    uncovered_branches_by_footprint_size,
-    uncovered_footprints_by_slots,
-)
-from ..core import ProactivePrefetcher, Sn4lPrefetcher, dis_only
-from ..memory import DynamicallyVirtualizedLlc, LastLevelCache
-from ..prefetchers import ShotgunPrefetcher
-from ..workloads import get_generator, get_trace, workload_names
+from ..analysis.metrics import arithmetic_mean, geometric_mean
+from ..workloads import workload_names
 from .runner import DEFAULT_RECORDS, DEFAULT_WARMUP, run_scheme
 
 WorkloadList = Optional[Sequence[str]]
@@ -152,6 +145,8 @@ def fig06_seq_predictability(workloads: WorkloadList = None,
                              n_records: int = DEFAULT_RECORDS
                              ) -> Dict[str, float]:
     """Fig. 6: stability of the next-4-block access pattern."""
+    from ..analysis import next4_pattern_predictability
+    from ..workloads import get_trace
     out = {}
     for w in _workloads(workloads):
         trace = get_trace(w, n_records=n_records)
@@ -163,6 +158,8 @@ def fig07_dis_predictability(workloads: WorkloadList = None,
                              n_records: int = DEFAULT_RECORDS
                              ) -> Dict[str, float]:
     """Fig. 7: stability of the discontinuity-causing branch per block."""
+    from ..analysis import discontinuity_branch_predictability
+    from ..workloads import get_trace
     out = {}
     for w in _workloads(workloads):
         trace = get_trace(w, n_records=n_records)
@@ -173,6 +170,8 @@ def fig07_dis_predictability(workloads: WorkloadList = None,
 def fig08_bf_branches(workloads: WorkloadList = None,
                       max_branches: int = 6) -> Dict[int, float]:
     """Fig. 8: uncovered branches vs branches stored per footprint."""
+    from ..analysis import uncovered_branches_by_footprint_size
+    from ..workloads import get_generator
     acc: Dict[int, List[float]] = {}
     for w in _workloads(workloads):
         program = get_generator(w).program
@@ -186,6 +185,8 @@ def fig09_bf_per_set(workloads: WorkloadList = None,
                      n_records: int = DEFAULT_RECORDS,
                      slots: Sequence[int] = (1, 2, 3, 4)) -> Dict[int, float]:
     """Fig. 9: uncovered branch footprints vs BF slots per LLC set."""
+    from ..analysis import uncovered_footprints_by_slots
+    from ..workloads import get_generator, get_trace
     acc: Dict[int, List[float]] = {}
     for w in _workloads(workloads):
         gen = get_generator(w)
@@ -210,6 +211,7 @@ def fig11_table_sizes(workloads: WorkloadList = None,
                       ) -> Dict[str, Dict[str, float]]:
     """Fig. 11: miss coverage vs SeqTable size (SN4L) and DisTable size
     (SN4L+Dis).  ``None`` is the unlimited reference table."""
+    from ..core import ProactivePrefetcher, Sn4lPrefetcher
     names = _workloads(workloads)
     out: Dict[str, Dict[str, float]] = {"seqtable": {}, "distable": {}}
     # Factory-built sweep points cannot cross a process boundary; only
@@ -254,6 +256,7 @@ def fig12_tagging(workloads: WorkloadList = None,
     uses a proportionally smaller table to recreate the same
     footprint-to-rows aliasing pressure.
     """
+    from ..core import dis_only
     out = {}
     for label, tag_bits in (("tagless", 0), ("partial_4bit", 4),
                             ("full_tag", None)):
@@ -377,6 +380,7 @@ def fig18_btb_sweep(workloads: WorkloadList = None,
 
     Shotgun's three structures scale proportionally with the budget
     (2048 -> 1536/128/512 per the paper's configuration)."""
+    from ..prefetchers import ShotgunPrefetcher
     names = _workloads(workloads)
     out = {}
     # The "ours" side only varies config overrides, which pickle fine;
@@ -405,6 +409,7 @@ def fig18_btb_sweep(workloads: WorkloadList = None,
 
 def tab2_storage() -> Dict[str, Dict[str, object]]:
     """Table II: storage and structural comparison."""
+    from ..analysis import comparison_table
     return comparison_table()
 
 
@@ -425,6 +430,9 @@ def dvllc_experiment(workload: str = "web_apache",
     instruction ratio unchanged and the data ratio dropping <= 0.1%.
     """
     import numpy as np
+
+    from ..memory import DynamicallyVirtualizedLlc, LastLevelCache
+    from ..workloads import get_generator, get_trace
     gen = get_generator(workload)
     trace = get_trace(workload, n_records=n_records)
     rng = np.random.default_rng(seed)
@@ -471,6 +479,7 @@ def dvllc_timing_experiment(workload: str = "web_apache",
     """
     from ..core import sn4l_dis, sn4l_dis_btb
     from ..frontend import FrontendConfig, FrontendSimulator
+    from ..workloads import get_generator, get_trace
 
     gen = get_generator(workload, variable_length=True)
     trace = get_trace(workload, n_records=n_records, variable_length=True)

@@ -27,15 +27,25 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from . import runner
 from .runner import RunResult, run_scheme
 from ..obs.metrics import REGISTRY, inc, observe
 from ..obs.tracing import TRACER, TraceContext
 from ..workloads import get_profile
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 ENV_JOBS = "REPRO_JOBS"
 
@@ -226,18 +236,39 @@ def _program_batches(payloads: List[Payload],
     return [specs for _cost, specs in batches]
 
 
-def _pool(workers: int) -> ProcessPoolExecutor:
-    """A process pool whose workers fork with numpy loaded.
+def _bins(batches: List[List[Payload]],
+          workers: int) -> List[List[Payload]]:
+    """Place program batches on at most ``workers`` bins, one pool task
+    each.
 
-    A process imports numpy, and then ``numpy.random``, which numpy
-    loads on first use, on its first program build, so another thread
-    (a served job) may be midway through either import when the pool
-    forks.  A worker forked then would inherit a half-loaded module and
-    its import lock, held by a thread the worker does not have, and
-    hang on its first build.  Importing both here waits such an import
-    out, and the workers inherit numpy instead of each importing it.
+    The schedule is fixed before the pool starts: batches come largest
+    build first (:func:`_program_batches`) and each goes to the bin with
+    the least summed build cost so far.  A worker then holds the same
+    programs on every run, so its memory does not depend on which
+    worker happens to finish first.
     """
-    import numpy.random  # noqa: F401
+    bins: List[List[Payload]] = [[] for _ in range(min(workers,
+                                                       len(batches)))]
+    load = [0.0] * len(bins)
+    for batch in batches:
+        i = min(range(len(bins)), key=load.__getitem__)
+        bins[i].extend(batch)
+        workload, _scheme, params, _leg = batch[0]
+        load[i] += _build_cost(workload, params.get("scale", 1.0))
+    return bins
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose workers fork with the simulator loaded.
+
+    :func:`~repro.experiments.runner.load_simulator` runs first, so the
+    forking thread waits out an import another thread (a served job) is
+    midway through, and the workers inherit the modules instead of each
+    importing them.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    runner.load_simulator()
     return ProcessPoolExecutor(max_workers=workers)
 
 
@@ -250,16 +281,16 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
     spec unless its own params override them.  With an effective job
     count of 1 this is exactly a loop over ``run_scheme``; with more, the
     unique specs are grouped into one batch per program (see
-    :func:`_program_batches`), the batches are distributed over worker
-    processes, and the memo cache is seeded so later ``run_scheme``
-    calls in this process hit.
+    :func:`_program_batches`), the batches are placed on one bin per
+    worker process (see :func:`_bins`), and the memo cache is seeded so
+    later ``run_scheme`` calls in this process hit.
 
     ``progress``, when given, is called with each spec's result as it
     lands: in input order serially; under a pool, once per unique spec —
-    memoised specs first, then each program batch as it returns
-    (batches in submission order), or from the serial fallback if the
-    pool breaks first — the service's job event stream hangs off this
-    hook.
+    memoised specs first, then each bin's specs together as the bin
+    returns (bins in submission order), or from the serial fallback if
+    the pool breaks first — the service's job event stream hangs off
+    this hook.
 
     Each spec is tallied once, as in the serial loop: a simulation or a
     store hit where it ran, a memo hit for a memoised spec or a repeat.
@@ -304,13 +335,15 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
                        TRACER.new_span_id(ctx.trace_id, ctx.span_id,
                                           "run_many.worker"))
             payloads.append((w, s, p, leg))
-        batches = _program_batches(payloads, n_jobs)
-        workers = min(n_jobs, len(batches))
+        from concurrent.futures.process import BrokenProcessPool
+
+        bins = _bins(_program_batches(payloads, n_jobs), n_jobs)
+        workers = len(bins)
         pool_start = time.perf_counter()
         try:
             with _pool(workers) as pool:
                 busy = 0.0
-                for batch in pool.map(_worker, batches):
+                for batch in pool.map(_worker, bins):
                     for key, result, elapsed, snapshot in batch:
                         done[key] = result
                         runner.seed_cache(key, result)
@@ -322,7 +355,7 @@ def run_many(specs: Iterable[RunSpec], jobs: Optional[int] = None,
             observe("repro_pool_seconds", wall)
             # Wall time not covered by (perfectly parallel) worker work:
             # process spin-up, pickling, queue wait, and a worker idling
-            # once the batches run out.
+            # once its bin is done.
             observe("repro_pool_overhead_seconds",
                     max(0.0, wall - busy / workers))
         except BrokenProcessPool:
@@ -358,6 +391,8 @@ def map_parallel(fn: Callable, items: Sequence,
     n_jobs = resolve_jobs(jobs)
     if n_jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         with _pool(min(n_jobs, len(items))) as pool:
             return list(pool.map(fn, items))

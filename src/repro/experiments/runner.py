@@ -16,32 +16,18 @@ Two cache layers sit under :func:`run_scheme`:
 
 from __future__ import annotations
 
+import importlib
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from . import store as result_store
 from ..obs.metrics import inc, observe
 from ..obs.tracing import TRACER
 
-from ..core import ProactivePrefetcher, Sn4lPrefetcher, dis_only, sn4l_dis, sn4l_dis_btb
-from ..frontend import FrontendConfig, FrontendSimulator, FrontendStats
-from ..prefetchers import (
-    AdaptiveNxlPrefetcher,
-    BoomerangPrefetcher,
-    ConfluencePrefetcher,
-    ConventionalDiscontinuityPrefetcher,
-    FdipPrefetcher,
-    NextLineOnMissPrefetcher,
-    NextLineTaggedPrefetcher,
-    NextXLinePrefetcher,
-    PifPrefetcher,
-    RdipPrefetcher,
-    ShotgunPrefetcher,
-    TifsPrefetcher,
-)
-from ..workloads import get_generator, get_trace
+if TYPE_CHECKING:
+    from ..frontend import FrontendSimulator, FrontendStats
 
 #: Default measurement window, mirroring the paper's warm-then-measure
 #: sampling (Section VI-C).
@@ -71,37 +57,56 @@ class RunResult:
         return self.stats.total_cycles
 
 
-SchemeFactory = Callable[[], Tuple[Optional[object], Dict]]
+#: A registered scheme: the import path of its prefetcher's constructor
+#: (None for no prefetcher), the constructor's keyword arguments and the
+#: scheme's ``FrontendConfig`` overrides.  Every field is a literal, so
+#: naming a scheme imports nothing and the REG lint rules check each
+#: entry from the source.
+SchemeEntry = Tuple[Optional[str], Dict[str, Any], Dict[str, Any]]
 
-#: scheme name -> () -> (prefetcher or None, FrontendConfig overrides)
-SCHEMES: Dict[str, SchemeFactory] = {
-    "baseline": lambda: (None, {}),
-    "nl": lambda: (NextXLinePrefetcher(1), {}),
-    "n2l": lambda: (NextXLinePrefetcher(2), {}),
-    "n4l": lambda: (NextXLinePrefetcher(4), {}),
-    "n8l": lambda: (NextXLinePrefetcher(8), {}),
-    "nl_buf": lambda: (NextXLinePrefetcher(1, use_buffer=True), {}),
-    "n2l_buf": lambda: (NextXLinePrefetcher(2, use_buffer=True), {}),
-    "n4l_buf": lambda: (NextXLinePrefetcher(4, use_buffer=True), {}),
-    "n8l_buf": lambda: (NextXLinePrefetcher(8, use_buffer=True), {}),
-    "sn4l": lambda: (Sn4lPrefetcher(), {}),
-    "dis": lambda: (dis_only(), {}),
-    "sn4l_dis": lambda: (sn4l_dis(), {}),
-    "sn4l_dis_btb": lambda: (sn4l_dis_btb(), {}),
-    "discontinuity": lambda: (ConventionalDiscontinuityPrefetcher(), {}),
-    "nlmiss": lambda: (NextLineOnMissPrefetcher(), {}),
-    "adaptive_nxl": lambda: (AdaptiveNxlPrefetcher(), {}),
-    "nltagged": lambda: (NextLineTaggedPrefetcher(), {}),
-    "tifs": lambda: (TifsPrefetcher(), {}),
-    "pif": lambda: (PifPrefetcher(), {}),
-    "rdip": lambda: (RdipPrefetcher(), {}),
-    "fdip": lambda: (FdipPrefetcher(), {}),
-    "confluence": lambda: (ConfluencePrefetcher(), {}),
-    "boomerang": lambda: (BoomerangPrefetcher(), {}),
-    "shotgun": lambda: (ShotgunPrefetcher(), {}),
-    "perfect_l1i": lambda: (None, {"perfect_l1i": True}),
-    "perfect_l1i_btb": lambda: (None, {"perfect_l1i": True,
-                                       "perfect_btb": True}),
+SCHEMES: Dict[str, SchemeEntry] = {
+    "baseline": (None, {}, {}),
+    "nl": ("repro.prefetchers.nextline.NextXLinePrefetcher",
+           {"depth": 1}, {}),
+    "n2l": ("repro.prefetchers.nextline.NextXLinePrefetcher",
+            {"depth": 2}, {}),
+    "n4l": ("repro.prefetchers.nextline.NextXLinePrefetcher",
+            {"depth": 4}, {}),
+    "n8l": ("repro.prefetchers.nextline.NextXLinePrefetcher",
+            {"depth": 8}, {}),
+    "nl_buf": ("repro.prefetchers.nextline.NextXLinePrefetcher",
+               {"depth": 1, "use_buffer": True}, {}),
+    "n2l_buf": ("repro.prefetchers.nextline.NextXLinePrefetcher",
+                {"depth": 2, "use_buffer": True}, {}),
+    "n4l_buf": ("repro.prefetchers.nextline.NextXLinePrefetcher",
+                {"depth": 4, "use_buffer": True}, {}),
+    "n8l_buf": ("repro.prefetchers.nextline.NextXLinePrefetcher",
+                {"depth": 8, "use_buffer": True}, {}),
+    "sn4l": ("repro.core.sn4l.Sn4lPrefetcher", {}, {}),
+    "dis": ("repro.core.proactive.dis_only", {}, {}),
+    "sn4l_dis": ("repro.core.proactive.sn4l_dis", {}, {}),
+    "sn4l_dis_btb": ("repro.core.proactive.sn4l_dis_btb", {}, {}),
+    "discontinuity": (
+        "repro.prefetchers.discontinuity."
+        "ConventionalDiscontinuityPrefetcher", {}, {}),
+    "nlmiss": ("repro.prefetchers.nextline.NextLineOnMissPrefetcher",
+               {}, {}),
+    "adaptive_nxl": ("repro.prefetchers.adaptive.AdaptiveNxlPrefetcher",
+                     {}, {}),
+    "nltagged": ("repro.prefetchers.nextline.NextLineTaggedPrefetcher",
+                 {}, {}),
+    "tifs": ("repro.prefetchers.temporal.TifsPrefetcher", {}, {}),
+    "pif": ("repro.prefetchers.temporal.PifPrefetcher", {}, {}),
+    "rdip": ("repro.prefetchers.rdip.RdipPrefetcher", {}, {}),
+    "fdip": ("repro.prefetchers.fdip.FdipPrefetcher", {}, {}),
+    "confluence": ("repro.prefetchers.confluence.ConfluencePrefetcher",
+                   {}, {}),
+    "boomerang": ("repro.prefetchers.boomerang.BoomerangPrefetcher",
+                  {}, {}),
+    "shotgun": ("repro.prefetchers.shotgun.ShotgunPrefetcher", {}, {}),
+    "perfect_l1i": (None, {}, {"perfect_l1i": True}),
+    "perfect_l1i_btb": (None, {}, {"perfect_l1i": True,
+                                   "perfect_btb": True}),
 }
 
 
@@ -110,12 +115,38 @@ def scheme_names() -> Tuple[str, ...]:
 
 
 def build_scheme(name: str):
+    """``(prefetcher or None, FrontendConfig overrides)`` for a
+    registered scheme.  The constructor's module is imported the first
+    time a scheme uses it."""
     try:
-        factory = SCHEMES[name]
+        path, kwargs, overrides = SCHEMES[name]
     except KeyError:
         known = ", ".join(SCHEMES)
         raise KeyError(f"unknown scheme {name!r}; known: {known}") from None
-    return factory()
+    prefetcher = None
+    if path is not None:
+        module, _, attr = path.rpartition(".")
+        prefetcher = getattr(importlib.import_module(module), attr)(**kwargs)
+    return prefetcher, dict(overrides)
+
+
+def load_simulator() -> None:
+    """Import every module a simulation runs.
+
+    A run the store serves needs none of them, so :func:`run_scheme`
+    calls this only once it misses both its memo and the store.  A
+    process pool calls it before it forks, so its workers inherit the
+    modules and a fork never lands while another thread (a served job)
+    is midway through one of these imports: the worker would inherit a
+    half-loaded module and an import lock no thread of its own holds.
+    ``repro serve`` calls it at start-up, before its job workers exist.
+    ``numpy.random`` is here because numpy loads it on first use, at a
+    program build's first seeded draw.
+    """
+    import numpy.random  # noqa: F401
+    from .. import core, prefetchers  # noqa: F401  (scheme constructors)
+    from ..frontend import config, engine  # noqa: F401
+    from ..workloads import serialize, tracegen  # noqa: F401
 
 
 #: Bounded LRU memo of slim results (heavier ``keep_simulator`` results
@@ -261,6 +292,11 @@ def run_scheme(workload: str, scheme: str,
                     inc("repro_run_cache_hits_total",
                         labels={"layer": "store"})
                     return result
+
+    load_simulator()
+    from ..frontend.config import FrontendConfig
+    from ..frontend.engine import FrontendSimulator
+    from ..workloads.tracegen import get_generator, get_trace
 
     if prefetcher_factory is not None:
         prefetcher, scheme_overrides = prefetcher_factory(), {}

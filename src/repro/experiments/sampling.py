@@ -11,16 +11,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-from ..frontend import FrontendConfig, FrontendSimulator, FrontendStats
-from ..workloads import get_generator
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 # The t-distribution machinery moved to repro.experiments.report so the
 # benchmark regression gate can share it; the old private names remain
 # as aliases for existing callers.
 from .report import t_cdf as _t_cdf, t_ppf as _t_ppf
 from .runner import build_scheme
+
+if TYPE_CHECKING:
+    from ..frontend import FrontendStats
 
 
 @dataclass
@@ -95,6 +103,9 @@ def _simulate_sample(payload: Tuple[str, str, int, int, float, int]
     both return values are plain counter dataclasses, so pickling them
     back is cheap and lossless.
     """
+    from ..frontend import FrontendConfig, FrontendSimulator
+    from ..workloads import get_generator
+
     workload, scheme, n_records, warmup, scale, sample = payload
     generator = get_generator(workload, scale=scale)
     trace = generator.generate(n_records, sample=sample)

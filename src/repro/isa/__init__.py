@@ -1,29 +1,43 @@
 """Synthetic ISA substrate: instruction model, codecs, and the pre-decoder."""
 
-from .encoding import (
-    EncodingError,
-    TextSegment,
-    VL_BRANCH_MIN_SIZE,
-    decode_fixed,
-    decode_variable,
-    displacement_fits_fixed,
-    encode_fixed,
-    encode_variable,
-    split_sizes_variable,
-)
-from .instructions import (
-    CACHE_BLOCK_SIZE,
-    FIXED_INSTRUCTION_SIZE,
-    MAX_VARIABLE_SIZE,
-    MIN_VARIABLE_SIZE,
-    BranchKind,
-    Instruction,
-    block_base,
-    block_of,
-    block_offset,
-)
-from .disasm import disassemble_block, disassemble_range, format_instruction
-from .predecoder import PredecodeCaches, Predecoder, PredecodeResult, target_of
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .encoding import (
+        EncodingError,
+        TextSegment,
+        VL_BRANCH_MIN_SIZE,
+        decode_fixed,
+        decode_variable,
+        displacement_fits_fixed,
+        encode_fixed,
+        encode_variable,
+        split_sizes_variable,
+    )
+    from .instructions import (
+        CACHE_BLOCK_SIZE,
+        FIXED_INSTRUCTION_SIZE,
+        MAX_VARIABLE_SIZE,
+        MIN_VARIABLE_SIZE,
+        BranchKind,
+        Instruction,
+        block_base,
+        block_of,
+        block_offset,
+    )
+    from .disasm import (
+        disassemble_block,
+        disassemble_range,
+        format_instruction,
+    )
+    from .predecoder import (
+        PredecodeCaches,
+        Predecoder,
+        PredecodeResult,
+        target_of,
+    )
 
 __all__ = [
     "BranchKind",
@@ -52,3 +66,17 @@ __all__ = [
     "disassemble_range",
     "disassemble_block",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    ".encoding": ("EncodingError", "TextSegment", "VL_BRANCH_MIN_SIZE",
+                  "decode_fixed", "decode_variable", "displacement_fits_fixed",
+                  "encode_fixed", "encode_variable", "split_sizes_variable"),
+    ".instructions": ("CACHE_BLOCK_SIZE", "FIXED_INSTRUCTION_SIZE",
+                      "MAX_VARIABLE_SIZE", "MIN_VARIABLE_SIZE", "BranchKind",
+                      "Instruction", "block_base", "block_of",
+                      "block_offset"),
+    ".disasm": ("disassemble_block", "disassemble_range",
+                "format_instruction"),
+    ".predecoder": ("PredecodeCaches", "Predecoder", "PredecodeResult",
+                    "target_of"),
+})

@@ -6,8 +6,9 @@ pack              ids        invariant
 determinism       DET001-3   no wall clock, no unseeded/global RNG,
                              no set-order reaching counters/events
 telemetry         TEL001-2   emit kinds registered, no dead kinds
-scheme registry   REG001-3   SCHEMES factories importable and
-                             signature-correct, override keys valid
+scheme registry   REG001-3   SCHEMES entries literal, constructors
+                             importable and signature-correct,
+                             override keys valid
 storage budget    BUD001-3   Table II geometry within the paper's
                              7.6 KB storage claim
 asyncio hygiene   ASY001-4   no blocking calls on the event loop

@@ -19,8 +19,8 @@ accounting, and fails the build when:
 * **BUD003** a geometry constant cannot be statically resolved (so the
   budget cannot be proven at lint time);
 * **BUD004** every ``SCHEMES`` entry — not just the proposal — gets its
-  per-core metadata bytes recomputed by constant-folding the factory
-  call through the prefetcher constructors' defaults, and the figure is
+  per-core metadata bytes recomputed by constant-folding its keyword
+  arguments over the prefetcher constructor's defaults, and the figure is
   bound to the declared cap in
   ``repro.analysis.storage.SCHEME_METADATA_BUDGETS``: an undeclared
   scheme, a figure over its cap, or an unfoldable geometry all fail.
@@ -33,7 +33,7 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..astutil import (
     UNFOLDABLE,
@@ -128,7 +128,7 @@ class BudgetReport:
 
 
 #: Classes whose constructor defaults / bit constants BUD004 folds the
-#: per-scheme metadata geometry from.  Every ``SCHEMES`` factory callee
+#: per-scheme metadata geometry from.  Every ``SCHEMES`` constructor
 #: must bottom out in one of these (or be a composite preset over one).
 _GEOMETRY_CLASSES = frozenset({
     "NextXLinePrefetcher", "NextLineOnMissPrefetcher",
@@ -445,8 +445,8 @@ CONVENTIONAL_BTB_BYTES = 2048 * 50 // 8
 #: L1i prefetch-buffer tag width (L1PrefetchBuffer's accounting).
 L1PB_TAG_BITS = 40
 
-#: Composite factory name -> the ProactivePrefetcher enable flags the
-#: factory pins (repro.core.proactive's dis_only/sn4l_dis/sn4l_dis_btb).
+#: Composite constructor name -> the ProactivePrefetcher enable flags it
+#: pins (repro.core.proactive's dis_only/sn4l_dis/sn4l_dis_btb).
 _COMPOSITE_PRESETS: Dict[str, Dict[str, bool]] = {
     "dis_only": {"enable_seq": False, "enable_dis": True,
                  "enable_btb": False},
@@ -518,10 +518,11 @@ class _Geometry:
             raise _Unfoldable(f"{cls}.{name} is not a foldable integer")
         return value
 
-    def bind(self, cls: str, call: ast.Call) -> Dict[str, object]:
-        """Constructor arguments merged over the class defaults,
-        walking up single inheritance when the class has no __init__
-        of its own (FdipPrefetcher -> RunaheadPrefetcher)."""
+    def bind(self, cls: str, kwargs: Sequence[Tuple[str, ast.AST]]
+             ) -> Dict[str, object]:
+        """Constructor keyword arguments merged over the class
+        defaults, walking up single inheritance when the class has no
+        __init__ of its own (FdipPrefetcher -> RunaheadPrefetcher)."""
         spec = self.spec(cls)
         seen = {cls}
         while not spec["params"] and not spec["defaults"]:
@@ -532,18 +533,8 @@ class _Geometry:
             seen.add(base)
             spec = self.classes[base]
         args: Dict[str, object] = dict(spec["defaults"])
-        params: List[str] = spec["params"]
-        for i, node in enumerate(call.args):
-            if isinstance(node, ast.Starred):
-                raise _Unfoldable("cannot fold *args in the factory call")
-            if i >= len(params):
-                break  # REG001's problem, not a storage question
-            args[params[i]] = self._fold(node, params[i])
-        for kw in call.keywords:
-            if kw.arg is None:
-                raise _Unfoldable("cannot fold **kwargs in the factory "
-                                  "call")
-            args[kw.arg] = self._fold(kw.value, kw.arg)
+        for name, node in kwargs:
+            args[name] = self._fold(node, name)
         return args
 
     @staticmethod
@@ -660,7 +651,7 @@ def _model_shotgun(geom: _Geometry, args: Dict[str, object]) -> int:
         geom.const("btb_entry_bits") // 8
 
 
-#: Factory class -> static per-scheme metadata model, mirroring each
+#: Constructor class -> static per-scheme metadata model, mirroring each
 #: class's ``storage_bytes`` accounting (attached-simulator figures,
 #: i.e. including the prefetch buffers the scheme asks the frontend
 #: for).
@@ -686,32 +677,25 @@ _SCHEME_MODELS = {
 def _scheme_bytes(geom: _Geometry, value: ast.AST) -> int:
     """Byte figure for one canonical SCHEMES entry (raises
     :class:`_Unfoldable` with the blocking reason otherwise)."""
-    if not isinstance(value, ast.Lambda) or \
-            not isinstance(value.body, ast.Tuple) or \
-            len(value.body.elts) != 2:
-        raise _Unfoldable("entry is not the canonical lambda shape "
-                          "(REG003), so its storage cannot be folded")
-    factory = value.body.elts[0]
-    if isinstance(factory, ast.Constant) and factory.value is None:
+    from .registry import parse_entry
+
+    try:
+        path, kwargs, _overrides = parse_entry(value)
+    except ValueError:
+        raise _Unfoldable("entry is not the canonical literal shape "
+                          "(REG003), so its storage cannot be folded") \
+            from None
+    if path is None:
         return 0  # config-override-only scheme: no prefetcher metadata
-    if not isinstance(factory, ast.Call):
-        raise _Unfoldable("first element is neither None nor a "
-                          "constructor call")
-    callee = dotted_name(factory.func)
-    if callee is None:
-        raise _Unfoldable("factory callee is not a plain name")
-    tail = callee.split(".")[-1]
+    tail = path.split(".")[-1]
     preset = _COMPOSITE_PRESETS.get(tail)
     cls = "ProactivePrefetcher" if preset is not None else tail
     model = _SCHEME_MODELS.get(cls)
     if model is None:
         raise _Unfoldable(
-            f"no static storage model for factory {tail!r}; add one to "
-            f"_SCHEME_MODELS and a cap to SCHEME_METADATA_BUDGETS")
-    if preset is not None and factory.args:
-        raise _Unfoldable(f"composite factory {tail!r} takes keyword "
-                          f"geometry only")
-    args = geom.bind(cls, factory)
+            f"no static storage model for constructor {tail!r}; add one "
+            f"to _SCHEME_MODELS and a cap to SCHEME_METADATA_BUDGETS")
+    args = geom.bind(cls, kwargs)
     if preset is not None:
         args.update(preset)
     return model(geom, args)

@@ -2,19 +2,20 @@
 
 ``repro.experiments.runner.SCHEMES`` is the single map from a scheme
 name (every ``--scheme`` choice, every bench cell, every figure driver)
-to a factory building ``(prefetcher, config overrides)``.  A broken
-entry — a renamed class, a constructor argument that no longer exists,
-an override key ``FrontendConfig`` dropped — only surfaces today when
-that scheme is first simulated.  These rules verify the whole registry
-statically:
+to an entry ``(constructor import path or None, keyword arguments,
+FrontendConfig overrides)``.  A broken entry — a renamed class, a
+constructor argument that no longer exists, an override key
+``FrontendConfig`` dropped — only surfaces today when that scheme is
+first simulated.  These rules verify the whole registry statically:
 
-* **REG001** the factory's callee must resolve (by importing the
-  defining module, or statically for non-importable fixtures) and the
-  call must bind against its constructor signature;
+* **REG001** the import path must resolve to a callable (by importing
+  its module when it lies in the ``repro`` package, else statically in
+  the linted set) and the keyword arguments must bind to it;
 * **REG002** every override key must be a ``FrontendConfig`` field;
-* **REG003** every entry must have the canonical shape — a lambda
-  returning a 2-tuple of ``None``-or-call and a dict literal — so the
-  other two rules (and human readers) can analyse it.
+* **REG003** every entry must be a literal of the canonical shape — a
+  3-tuple of ``None``-or-string and two dicts with string keys — so the
+  other two rules, the BUD004 storage fold and human readers can
+  analyse it without running it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import inspect
 from pathlib import PurePath
 from typing import Iterable, List, Optional, Set, Tuple, Union
 
-from ..astutil import dotted_name, find_class, static_bind
+from ..astutil import find_class, static_bind
 from ..framework import (
     Facts,
     FileContext,
@@ -58,20 +59,6 @@ def registry_facts(ctx: FileContext) -> Optional[Facts]:
     return facts or None
 
 
-def module_name_for(rel: str) -> Optional[str]:
-    """Importable dotted module name for a repo-relative path, if the
-    path lies inside the ``repro`` package."""
-    parts = list(PurePath(rel).parts)
-    if "repro" not in parts:
-        return None
-    parts = parts[parts.index("repro"):]
-    if parts[-1].endswith(".py"):
-        parts[-1] = parts[-1][:-3]
-    if parts[-1] == "__init__":
-        parts.pop()
-    return ".".join(parts)
-
-
 def _config_fields(project: Project) -> Set[str]:
     """FrontendConfig field names, from the linted set when it declares
     the class, else from the installed dataclass."""
@@ -98,55 +85,89 @@ def _config_fields(project: Project) -> Set[str]:
         return set()
 
 
-def _runtime_resolve(module, local_dotted: str):
-    """Resolve ``a.b.c`` against an imported module's namespace."""
-    obj = module
-    for part in local_dotted.split("."):
-        obj = getattr(obj, part)
-    return obj
+def parse_entry(value: ast.AST
+                ) -> Tuple[Optional[str], List[Tuple[str, ast.AST]],
+                           List[Tuple[str, ast.AST]]]:
+    """The fields of one canonical SCHEMES entry: the constructor's
+    import path (None for no prefetcher), then its keyword arguments
+    and the config overrides as ``(name, value node)`` pairs.  Raises
+    ValueError naming the first shape problem (REG003)."""
+    try:
+        ast.literal_eval(value)
+        if not isinstance(value, ast.Tuple) or len(value.elts) != 3:
+            raise ValueError
+    except ValueError:
+        raise ValueError("entry must be a literal 3-tuple (constructor "
+                         "import path or None, keyword arguments, "
+                         "overrides)") from None
+    path, kwargs, overrides = value.elts
+    if not (isinstance(path, ast.Constant) and
+            (path.value is None or isinstance(path.value, str))):
+        raise ValueError("first element must be None or a constructor's "
+                         "import path")
+    fields: List[List[Tuple[str, ast.AST]]] = []
+    for label, node in (("keyword arguments", kwargs),
+                        ("overrides", overrides)):
+        if not isinstance(node, ast.Dict) or not all(
+                isinstance(k, ast.Constant) and isinstance(k.value, str)
+                for k in node.keys):
+            raise ValueError(f"{label} must be a dict literal with string "
+                             f"keys")
+        fields.append([(k.value, v) for k, v in zip(node.keys, node.values)
+                       if isinstance(k, ast.Constant)])
+    return path.value, fields[0], fields[1]
 
 
-def _check_call(call: ast.Call, ctx: FileContext, module,
-                ) -> Optional[str]:
-    """Error description for a factory call, or None when it binds."""
-    callee = dotted_name(call.func)
-    if callee is None:
-        return "factory callee is not a plain name"
-    if module is not None:
+def _linted_definition(project: Project, module: str, attr: str
+                       ) -> Optional[Union[ast.ClassDef, ast.FunctionDef]]:
+    """Top-level ``attr`` of the linted file ``module`` names (matched
+    on the trailing path parts), or None."""
+    want = module.split(".")
+    for rel in project.files():
+        parts = list(PurePath(rel).with_suffix("").parts)
+        if parts and parts[-1] == "__init__":
+            parts.pop()
+        if parts[-len(want):] != want:
+            continue
+        tree = project.context(rel).tree
+        for node in tree.body if tree is not None else ():
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and \
+                    node.name == attr:
+                return node
+    return None
+
+
+def _check_constructor(path: str, kwargs: List[Tuple[str, ast.AST]],
+                       project: Project) -> Optional[str]:
+    """Error description for a constructor path and its keyword
+    arguments, or None when the path resolves and the arguments bind."""
+    module_name, _, attr = path.rpartition(".")
+    if not module_name:
+        return f"constructor {path!r} is not a dotted import path"
+    if module_name.split(".")[0] == "repro":
         try:
-            obj = _runtime_resolve(module, callee)
+            obj = getattr(importlib.import_module(module_name), attr)
+        except ImportError as exc:
+            return f"constructor module {module_name!r} does not import: " \
+                   f"{exc}"
         except AttributeError:
-            return (f"factory callee {callee!r} is not importable from "
-                    f"{module.__name__}")
+            return f"constructor {attr!r} is not defined in {module_name}"
         if not callable(obj):
-            return f"factory callee {callee!r} is not callable"
-        if any(isinstance(a, ast.Starred) for a in call.args) or \
-                any(k.arg is None for k in call.keywords):
-            return None
+            return f"constructor {path!r} is not callable"
         try:
-            inspect.signature(obj).bind(
-                *[None] * len(call.args),
-                **{k.arg: None for k in call.keywords if k.arg})
+            inspect.signature(obj).bind(**{name: None for name, _ in kwargs})
         except TypeError as exc:
-            return f"constructor signature mismatch for {callee}: {exc}"
+            return f"constructor signature mismatch for {attr}: {exc}"
         except ValueError:  # pragma: no cover - C callables without sigs
             return None
         return None
-    # Static fallback (fixtures, trees that do not import).
-    head = callee.split(".")[0]
-    tree = ctx.tree
-    defn: Optional[Union[ast.ClassDef, ast.FunctionDef]] = None
-    for node in tree.body:
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and \
-                node.name == head:
-            defn = node
-            break
+    # Static fallback (fixtures, trees outside the installed package).
+    defn = _linted_definition(project, module_name, attr)
     if defn is None:
-        if head in ctx.imports:
-            return None  # imported from elsewhere: not statically checkable
-        return f"factory callee {callee!r} is not defined or imported"
-    if "." in callee:
-        return None  # attribute access on a local class: give up statically
+        return f"constructor {path!r} does not resolve in the linted set"
+    call = ast.Call(func=ast.Name(id=attr, ctx=ast.Load()), args=[],
+                    keywords=[ast.keyword(arg=name, value=value)
+                              for name, value in kwargs])
     return static_bind(defn, call)
 
 
@@ -154,9 +175,9 @@ def _check_call(call: ast.Call, ctx: FileContext, module,
 class SchemeFactoryRule(Rule):
     id = "REG001"
     name = "scheme-factory"
-    summary = ("a SCHEMES entry whose factory callee does not resolve to "
-               "an importable callable or whose constructor call does "
-               "not bind")
+    summary = ("a SCHEMES entry whose constructor import path does not "
+               "resolve to a callable or whose keyword arguments do not "
+               "bind to it")
     scope = "project"
     facts = ("scheme_registry",)
 
@@ -182,9 +203,9 @@ class SchemeOverrideRule(Rule):
 class SchemeShapeRule(Rule):
     id = "REG003"
     name = "scheme-entry-shape"
-    summary = ("a SCHEMES entry that is not a lambda returning "
-               "(prefetcher-or-None, overrides-dict); opaque entries "
-               "cannot be statically verified")
+    summary = ("a SCHEMES entry that is not a literal (constructor "
+               "import path or None, keyword-arguments dict, overrides "
+               "dict); opaque entries cannot be statically verified")
     scope = "project"
     facts = ("scheme_registry",)
 
@@ -202,20 +223,12 @@ def _check_registry(project: Project, want: str) -> Iterable[Finding]:
         return
     config_fields = _config_fields(project)
     for rel in schemes_files:
-        ctx = project.context(rel)
-        tree = ctx.tree
+        tree = project.context(rel).tree
         if tree is None:
             continue
-        module = None
-        mod_name = module_name_for(rel)
-        if mod_name is not None:
-            try:
-                module = importlib.import_module(mod_name)
-            except ImportError:
-                module = None
         for key, value in _schemes_entries(tree):
             name = key.value if isinstance(key, ast.Constant) else "?"
-            for finding in _check_entry(name, value, ctx, module,
+            for finding in _check_entry(name, value, project,
                                         config_fields, rel):
                 if finding.rule == want:
                     yield finding
@@ -235,48 +248,25 @@ def _schemes_entries(tree: ast.Module
     return []
 
 
-def _check_entry(name: str, value: ast.AST, ctx: FileContext, module,
+def _check_entry(name: str, value: ast.AST, project: Project,
                  config_fields: Set[str], rel: str) -> Iterable[Finding]:
-    line, col = value.lineno, value.col_offset + 1
-    if not isinstance(value, ast.Lambda) or \
-            not isinstance(value.body, ast.Tuple) or \
-            len(value.body.elts) != 2:
-        yield Finding(
-            "REG003", rel, line, col,
-            f"scheme {name!r}: entry must be a lambda returning "
-            f"(prefetcher-or-None, overrides-dict)")
+    try:
+        path, kwargs, overrides = parse_entry(value)
+    except ValueError as exc:
+        yield Finding("REG003", rel, value.lineno, value.col_offset + 1,
+                      f"scheme {name!r}: {exc}")
         return
-    factory, overrides = value.body.elts
-
-    if isinstance(factory, ast.Call):
-        error = _check_call(factory, ctx, module)
-        if error is not None:
-            yield Finding("REG001", rel, factory.lineno,
-                          factory.col_offset + 1,
-                          f"scheme {name!r}: {error}")
-    elif not (isinstance(factory, ast.Constant) and factory.value is None):
-        yield Finding(
-            "REG003", rel, factory.lineno, factory.col_offset + 1,
-            f"scheme {name!r}: first element must be None or a "
-            f"constructor call")
-
-    if not isinstance(overrides, ast.Dict):
-        yield Finding(
-            "REG003", rel, overrides.lineno, overrides.col_offset + 1,
-            f"scheme {name!r}: second element must be a dict literal of "
-            f"FrontendConfig overrides")
-        return
-    for key in overrides.keys:
-        if key is None:
-            continue  # **expansion: not statically checkable
-        if not (isinstance(key, ast.Constant) and
-                isinstance(key.value, str)):
+    if path is None:
+        error = "keyword arguments given without a constructor" \
+            if kwargs else None
+    else:
+        error = _check_constructor(path, kwargs, project)
+    if error is not None:
+        yield Finding("REG001", rel, value.lineno, value.col_offset + 1,
+                      f"scheme {name!r}: {error}")
+    for key, node in overrides:
+        if config_fields and key not in config_fields:
             yield Finding(
-                "REG003", rel, key.lineno, key.col_offset + 1,
-                f"scheme {name!r}: override keys must be string literals")
-            continue
-        if config_fields and key.value not in config_fields:
-            yield Finding(
-                "REG002", rel, key.lineno, key.col_offset + 1,
-                f"scheme {name!r}: override key {key.value!r} is not a "
+                "REG002", rel, node.lineno, node.col_offset + 1,
+                f"scheme {name!r}: override key {key!r} is not a "
                 f"FrontendConfig field")

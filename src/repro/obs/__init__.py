@@ -31,43 +31,48 @@ None`` checks keep every inlined leg of the vectorized loop); the
 registry counts whole runs, never per-record work.
 """
 
-from .bench import BenchCell, MATRICES, run_cell, run_matrix
-from .metrics import (
-    REGISTRY,
-    MetricsRegistry,
-    declare_counter,
-    declare_gauge,
-    declare_histogram,
-    inc,
-    log_spaced_buckets,
-    observe,
-    parse_prometheus_text,
-    quantile_from_buckets,
-    render_metrics,
-    set_gauge,
-)
-from .regress import Verdict, check_record, check_records, markdown_report
-from .telemetry import (
-    RECONCILED_COUNTERS,
-    ComponentCounters,
-    add_store_listener,
-    component_report,
-    reconcile,
-    remove_store_listener,
-    store_event,
-    store_event_counts,
-)
-from .traceql import diff_traces, query_trace, summarize_trace
-from .tracing import (
-    TRACER,
-    JsonlTraceLog,
-    Span,
-    TraceContext,
-    Tracer,
-    read_trace,
-    read_trace_spans,
-    trace_run,
-)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .bench import MATRICES, BenchCell, run_cell, run_matrix
+    from .metrics import (
+        REGISTRY,
+        MetricsRegistry,
+        declare_counter,
+        declare_gauge,
+        declare_histogram,
+        inc,
+        log_spaced_buckets,
+        observe,
+        parse_prometheus_text,
+        quantile_from_buckets,
+        render_metrics,
+        set_gauge,
+    )
+    from .regress import Verdict, check_record, check_records, markdown_report
+    from .telemetry import (
+        RECONCILED_COUNTERS,
+        ComponentCounters,
+        add_store_listener,
+        component_report,
+        reconcile,
+        remove_store_listener,
+        store_event,
+        store_event_counts,
+    )
+    from .traceql import diff_traces, query_trace, summarize_trace
+    from .tracing import (
+        TRACER,
+        JsonlTraceLog,
+        Span,
+        TraceContext,
+        Tracer,
+        read_trace,
+        read_trace_spans,
+        trace_run,
+    )
 
 __all__ = [
     "ComponentCounters",
@@ -110,3 +115,20 @@ __all__ = [
     "query_trace",
     "summarize_trace",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    ".bench": ("MATRICES", "BenchCell", "run_cell", "run_matrix"),
+    ".metrics": ("REGISTRY", "MetricsRegistry", "declare_counter",
+                 "declare_gauge", "declare_histogram", "inc",
+                 "log_spaced_buckets", "observe", "parse_prometheus_text",
+                 "quantile_from_buckets", "render_metrics", "set_gauge"),
+    ".regress": ("Verdict", "check_record", "check_records",
+                 "markdown_report"),
+    ".telemetry": ("RECONCILED_COUNTERS", "ComponentCounters",
+                   "add_store_listener", "component_report", "reconcile",
+                   "remove_store_listener", "store_event",
+                   "store_event_counts"),
+    ".traceql": ("diff_traces", "query_trace", "summarize_trace"),
+    ".tracing": ("TRACER", "JsonlTraceLog", "Span", "TraceContext", "Tracer",
+                 "read_trace", "read_trace_spans", "trace_run"),
+})

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..experiments import store as result_store
 from ..experiments.parallel import run_many
-from ..experiments.runner import scheme_names
+from ..experiments.runner import load_simulator, scheme_names
 from ..obs.bench import DIGEST_COUNTERS
 from ..obs.metrics import REGISTRY, inc, render_metrics, set_gauge
 from ..obs.tracing import TRACE_HEADER, TRACER, TraceContext
@@ -259,6 +259,9 @@ class ReproService:
         return result_store.cache_root() / "service" / "jobs"
 
     async def start(self) -> None:
+        # Before any job worker exists: a job thread then never imports
+        # the simulator while another one forks a pool.
+        load_simulator()
         store = result_store.get_store()
         if store is not None and self.budget_bytes is not None:
             store.set_budget(self.budget_bytes)

@@ -1,4 +1,4 @@
-"""Scheme-registry fixture: shape, factory and override-key breakage."""
+"""Scheme-registry fixture: shape, constructor and override-key breakage."""
 
 
 class FrontendConfig:
@@ -12,8 +12,12 @@ class LocalPrefetcher:
 
 
 SCHEMES = {
-    "good": lambda: (LocalPrefetcher(entries=32), {"block_size": 32}),
-    "bad_shape": "not even a lambda",                    # REG003 (line 16)
-    "bad_factory": lambda: (LocalPrefetcher(nope=1), {}),  # REG001
-    "bad_override": lambda: (None, {"not_a_field": 1}),    # REG002
+    "good": ("reg_violations.LocalPrefetcher", {"entries": 32},
+             {"block_size": 32}),
+    "bad_shape": "not even a tuple",                       # REG003 (line 17)
+    "old_lambda": lambda: (LocalPrefetcher(entries=32), {}, {}),  # REG003
+    "bad_factory": ("reg_violations.LocalPrefetcher", {"nope": 1},  # REG001
+                    {}),
+    "bad_override": (None, {}, {"not_a_field": 1}),        # REG002
+    "bad_path": ("reg_violations.MissingPrefetcher", {}, {}),  # REG001
 }

@@ -85,17 +85,21 @@ class TestRegistryPack:
     def test_shape_factory_and_override(self):
         _, got = findings_of("reg_violations.py")
         assert got == [
-            ("REG003", 16),   # entry is a string, not a lambda
-            ("REG001", 17),   # unexpected constructor keyword
-            ("REG002", 18),   # override key not a FrontendConfig field
+            ("REG003", 17),   # entry is a string, not a tuple
+            ("REG003", 18),   # a lambda is not a literal
+            ("REG001", 19),   # unexpected constructor keyword
+            ("REG002", 21),   # override key not a FrontendConfig field
+            ("REG001", 22),   # import path names no definition
         ]
 
     def test_messages_name_the_scheme(self):
         result, _ = findings_of("reg_violations.py")
-        by_rule = {f.rule: f.message for f in result.findings}
-        assert "'bad_shape'" in by_rule["REG003"]
-        assert "'nope'" in by_rule["REG001"]
-        assert "'not_a_field'" in by_rule["REG002"]
+        by_line = {f.line: f.message for f in result.findings}
+        assert "'bad_shape'" in by_line[17]
+        assert "'old_lambda'" in by_line[18] and "literal" in by_line[18]
+        assert "'nope'" in by_line[19]
+        assert "'not_a_field'" in by_line[21]
+        assert "MissingPrefetcher" in by_line[22]
 
 
 class TestBudgetPack:

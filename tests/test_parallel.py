@@ -220,10 +220,47 @@ class TestProgramBatches:
                     for s in ("baseline", "nl", "sn4l")]
         batches = parallel._program_batches(payloads, workers=2)
         assert batches == [payloads[:2], payloads[2:]]
+        assert parallel._bins(batches, 2) == batches
         # Never split below one spec per batch.
         assert len(parallel._program_batches(payloads[:1], workers=4)) == 1
         assert [len(b) for b in
                 parallel._program_batches(payloads, workers=8)] == [1, 1, 1]
+
+
+class TestBins:
+    @staticmethod
+    def _fig16(mid):
+        return [TestProgramBatches._payload(w, s, scale=1.0)
+                for w in ("web_frontend", mid, "oltp_db_a")
+                for s in ("baseline", "confluence", "boomerang", "shotgun",
+                          "sn4l_dis_btb")]
+
+    @pytest.mark.parametrize("mid", ["web_apache", "web_zeus"])
+    def test_fig16_schedule_is_fixed(self, mid):
+        # The smallest program joins the mid-size one, never the
+        # largest, whichever worker finishes first.
+        payloads = self._fig16(mid)
+        bins = parallel._bins(parallel._program_batches(payloads, 2), 2)
+        assert [[p[0] for p in b[::5]] for b in bins] == [
+            ["oltp_db_a"], [mid, "web_frontend"]]
+
+    def test_one_bin_per_worker_each_program_whole(self):
+        payloads = [TestProgramBatches._payload(w, s)
+                    for w in ("web_frontend", "web_zeus", "web_apache",
+                              "oltp_db_a", "oltp_db_b")
+                    for s in ("baseline", "nl")]
+        for workers in (1, 2, 3, 8):
+            bins = parallel._bins(
+                parallel._program_batches(payloads, workers), workers)
+            assert len(bins) == workers
+            assert sorted(map(id, (p for b in bins for p in b))) == \
+                sorted(map(id, payloads))
+            if workers > 5:
+                continue    # more workers than programs: programs split
+            owner = {}
+            for i, b in enumerate(bins):
+                for p in b:
+                    assert owner.setdefault(p[0], i) == i
 
 
 class TestPooledMetrics:
@@ -444,20 +481,22 @@ class TestCountsAgreeAcrossModes:
                 assert got == self.RUNNER_SERIES, (mode, surface)
 
 
+def crash_in_worker(parent_pid):
+    """A scheme constructor that kills any process but ``parent_pid``
+    and builds no prefetcher there."""
+    if os.getpid() != parent_pid:
+        os._exit(1)
+    return None
+
+
 class TestBrokenPool:
     def test_worker_crash_falls_back_to_serial(self, monkeypatch):
         """A pool worker dying mid-batch loses its whole batch; the
         serial fallback must still return every spec exactly once,
         equal to a serial run, and count the broken pool."""
-        test_pid = os.getpid()
-
-        def crash_in_worker():
-            if os.getpid() != test_pid:
-                os._exit(1)
-            return runner.SCHEMES["baseline"]()
-
-        monkeypatch.setitem(runner.SCHEMES, "crash_in_worker",
-                            crash_in_worker)
+        monkeypatch.setitem(
+            runner.SCHEMES, "crash_in_worker",
+            (f"{__name__}.crash_in_worker", {"parent_pid": os.getpid()}, {}))
         specs = [("web_apache", "baseline"), ("web_apache", "nl"),
                  ("web_apache", "crash_in_worker"),
                  ("oltp_db_a", "baseline"), ("oltp_db_a", "nl"),

@@ -249,7 +249,7 @@ def held(*args, **kwargs):
 # import lock held, and goes on a second after the holder is inside, so
 # a pool that forks without waiting for the import forks inside it.
 _HOLD_IN_IMPORT = """
-assert "numpy" not in sys.modules
+assert "{module}" not in sys.modules
 
 class Held:
     def find_spec(self, name, path=None, target=None):
@@ -304,6 +304,16 @@ class TestFork:
         run_fork_scenario(_HOLD_IN_IMPORT.format(module=module),
                           _RELEASE_LATER, "tracegen.get_generator",
                           '{"scale": 0.3}', f"import of {module}")
+
+    # A store miss imports the simulator on a job's thread; a pool the
+    # main thread forks meanwhile must wait for that import to finish.
+    def test_pool_forked_mid_simulator_import(self):
+        module = "repro.core.proactive"
+        run_fork_scenario(
+            _HOLD_IN_IMPORT.format(module=module), _RELEASE_LATER,
+            "runner.run_scheme",
+            '{"scheme": "sn4l_dis_btb", "n_records": 3000, "scale": 0.3}',
+            f"import of {module}")
 
 
 class TestStore:
