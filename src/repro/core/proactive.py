@@ -155,19 +155,12 @@ class ProactivePrefetcher(Prefetcher):
                 "DV-LLC; build the simulator with FrontendConfig(dv_llc=True)"
             )
         # The program's ISA picks the pre-decode leg, once: the
-        # memoised fixed-ISA leg needs a fixed-length segment, and any
+        # memoised fixed-ISA leg needs a fixed-length segment (the
+        # program's shared memo fills as runs reach each block), and any
         # other pairing decodes each pass with ``decode_block``.
         program = getattr(sim, "program", None)
         self._fixed_leg = not self.variable_length and (
             program is None or not program.variable_length)
-        # Front-load the segment decode: the shared per-Program memo is
-        # filled once at attach time, so no simulated access ever pays a
-        # cold decode (behaviour and per-pass counters are unchanged).
-        if ((self.enable_dis or self.enable_btb) and self._fixed_leg
-                and program is not None):
-            if self._pd is None:
-                self._pd = sim.predecoder()
-            self._pd.prewarm_fixed()
         # Compile the hot path against this simulator: the closures bind
         # every structure that is fixed for the simulator's lifetime and
         # shadow the plain methods on the instance.
@@ -178,6 +171,10 @@ class ProactivePrefetcher(Prefetcher):
             self.on_fill = on_fill
             self.on_prefetch_hit = on_pf_hit
             self.on_evict = on_evict
+
+    def detach(self) -> None:
+        super().detach()
+        self.__dict__.pop("_drain", None)
 
     # ------------------------------------------------------------------
     # metadata updates (SN4L usefulness + Dis recording)

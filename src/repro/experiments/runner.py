@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from . import store as result_store
+from .._gcpause import gc_paused
 from ..obs.metrics import inc, observe
 from ..obs.tracing import TRACER
 
@@ -316,24 +317,35 @@ def run_scheme(workload: str, scheme: str,
     sim = FrontendSimulator(trace, config=config, prefetcher=prefetcher,
                             program=generator.program)
     sim_start = time.perf_counter()
-    # The innermost span of a service trace (client -> http -> queue ->
-    # worker -> engine); standalone CLI runs start their own root here.
-    with TRACER.span("engine.run_scheme",
-                     seed=f"{workload}|{scheme}|{n_records}|{scale}",
-                     attrs={"workload": workload,
-                            "scheme": scheme}) as eng_span:
-        stats = sim.run(warmup=warmup)
-    sim_elapsed = time.perf_counter() - sim_start
+    # The pause spans the run and, for a slim result, the simulator's
+    # release: closed, it is freed by reference counting before the
+    # collector could rescan what the run allocated.
+    with gc_paused():
+        # The innermost span of a service trace (client -> http -> queue ->
+        # worker -> engine); standalone CLI runs start their own root here.
+        with TRACER.span("engine.run_scheme",
+                         seed=f"{workload}|{scheme}|{n_records}|{scale}",
+                         attrs={"workload": workload,
+                                "scheme": scheme}) as eng_span:
+            stats = sim.run(warmup=warmup)
+        sim_elapsed = time.perf_counter() - sim_start
+        result = RunResult(workload=workload, scheme=scheme, stats=stats)
+        result.extra["llc_avg_latency"] = sim.latency.average_latency
+        result.extra["external_requests"] = float(sim.latency.requests)
+        if hasattr(prefetcher, "footprint_miss_ratio"):
+            result.extra["footprint_miss_ratio"] = \
+                prefetcher.footprint_miss_ratio
+        if keep_simulator:
+            result.prefetcher = prefetcher
+            result.simulator = sim
+        else:
+            sim.close()
+        del sim, prefetcher
     count_run(n_records, sim_elapsed,
               exemplar=({"trace_id": eng_span.trace_id,
                          "span_id": eng_span.span_id}
                         if eng_span is not None else None))
 
-    result = RunResult(workload=workload, scheme=scheme, stats=stats)
-    result.extra["llc_avg_latency"] = sim.latency.average_latency
-    result.extra["external_requests"] = float(sim.latency.requests)
-    if hasattr(prefetcher, "footprint_miss_ratio"):
-        result.extra["footprint_miss_ratio"] = prefetcher.footprint_miss_ratio
     if store is not None and fp is not None:
         try:
             store.save_result(fp, stats, result.extra)
@@ -343,9 +355,6 @@ def run_scheme(workload: str, scheme: str,
                 sim_elapsed, stats, result.extra))
         except OSError:
             pass        # read-only cache dir: persistence is best-effort
-    if keep_simulator:
-        result.prefetcher = prefetcher
-        result.simulator = sim
     if use_cache:
         _memoise(key, result)
     return result

@@ -22,10 +22,10 @@ stalls (Table I).
 
 from __future__ import annotations
 
-import gc
 from bisect import bisect_left
 from typing import Optional
 
+from .._gcpause import gc_paused
 from ..btb import BtbPrefetchBuffer, ConventionalBtb, ReturnAddressStack
 from ..cfg import Program
 from ..isa import CACHE_BLOCK_SIZE, BranchKind, Predecoder, block_base
@@ -628,22 +628,27 @@ class FrontendSimulator:
             self.engine_path = "generic"
             span = self._run_span
         # The simulation allocates in refcount-clean patterns (no cycles
-        # survive a record), so the cyclic collector only adds pauses;
-        # park it for the duration and restore the caller's setting.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        # survive a record), so the cyclic collector only adds pauses.
+        with gc_paused():
             if 0 < warmup < n:
                 span(records, 0, warmup)
                 self._reset_measurement()
                 span(records, warmup, n)
             else:
                 span(records, 0, n)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         return self.finalize()
+
+    def close(self) -> None:
+        """Detach the prefetcher, so that this simulator and everything
+        it built are freed by reference counting once the caller drops
+        them.  The prefetcher's own state stays readable; a closed
+        simulator cannot run again.
+
+        The prefetcher holds the simulator and hooks bound to it, a
+        cycle that only the cyclic collector could otherwise reclaim.
+        """
+        if self.prefetcher is not None:
+            self.prefetcher.detach()
 
     def _run_span(self, records, start: int, stop: int) -> None:
         """Generic per-record stepping: the readable reference loop."""

@@ -193,12 +193,11 @@ class Predecoder:
     def prewarm_fixed(self) -> None:
         """Decode every fixed-ISA block of the segment into the memos.
 
-        Pure cache warming done at construction/attach time: it fills
-        the shared ``fixed_info``/``fixed`` maps without touching
-        ``blocks_decoded`` (per-pass accounting is a property of the
-        passes, not of the memo state), so simulated behaviour and
-        counters are unchanged — only the cold first-decode cost moves
-        off the simulated hot path.  No-op for variable-length
+        Runs fill the shared ``fixed_info``/``fixed`` maps one block at
+        a time, as they reach it; this fills them for the whole segment
+        (the build-identity test hashes the full memo).  It leaves
+        ``blocks_decoded`` alone: per-pass accounting is a property of
+        the passes, not of the memo state.  No-op for variable-length
         segments and when the shared caches were already prewarmed.
         """
         if self.segment.variable_length or self._caches.prewarmed:

@@ -16,6 +16,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..memory.cache import CacheLine
     from ..workloads.trace import FetchRecord
 
+#: Hooks a scheme may bind to its simulator at attach, as instance
+#: attributes over the methods of the same name.
+_BOUND_HOOKS = ("on_demand", "on_fill", "on_evict", "on_prefetch_hit",
+                "on_branch_retire")
+
 
 class Prefetcher:
     """Base class: a no-op prefetcher."""
@@ -33,6 +38,16 @@ class Prefetcher:
         """Bind to a simulator.  Override to install buffers; call super."""
         self.sim = sim
         self.telemetry = sim.emitter(self.name)
+
+    def detach(self) -> None:
+        """Unbind from the simulator (:meth:`FrontendSimulator.close`):
+        drop it, the telemetry emitter and every hook bound to it at
+        attach, which shadow the methods below on the instance.  The
+        scheme's tables and counters stay as they are."""
+        self.sim = None
+        self.telemetry = None
+        for hook in _BOUND_HOOKS:
+            self.__dict__.pop(hook, None)
 
     # -- event hooks -----------------------------------------------------
 

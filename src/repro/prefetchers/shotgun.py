@@ -119,6 +119,12 @@ class ShotgunPrefetcher(RunaheadPrefetcher):
         sim.btb_prefetch_buffer = BtbPrefetchBuffer(self.btb_buffer_entries)
         super().attach(sim)
 
+    def detach(self) -> None:
+        # The adapter's bound lookup counts on the adapter: a cycle.
+        if self.sim is not None:
+            self.sim.btb.__dict__.pop("lookup", None)
+        super().detach()
+
     def _bind_hooks(self):
         """Bind every hook to the simulator's structures; install
         ``on_fill`` and ``on_branch_retire`` and return the runahead

@@ -16,6 +16,7 @@ import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from .._gcpause import gc_paused
 from ..cfg import BasicBlock, ControlFlowGraph, Program, generate_cfg, layout_program
 from ..isa import BranchKind
 from .profiles import WorkloadProfile, get_profile
@@ -134,6 +135,7 @@ class TraceGenerator:
         switch_p = 1.0 / max(1, params.switch_mean_records)
         return Walk(sample, rng, contexts, int(rng.geometric(switch_p)))
 
+    @gc_paused()
     def generate(self, n_records: int, sample: int = 0,
                  walk: Optional["Walk"] = None) -> Trace:
         """Walk the program until ``n_records`` fetch records are emitted.
@@ -319,7 +321,9 @@ def get_generator(name: str, scale: float = 1.0,
     gen = _GENERATORS.get(key)
     if gen is not None:
         return gen
-    with _BUILD_LOCK:
+    # A build makes no cyclic garbage.  The pause ends last, so the
+    # collection it held back starts after this call, not inside it.
+    with gc_paused(), _BUILD_LOCK:
         gen = _GENERATORS.get(key)
         if gen is None:
             gen = _GENERATORS[key] = TraceGenerator(

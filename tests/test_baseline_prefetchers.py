@@ -231,6 +231,26 @@ class TestShotgun:
         # About 0.19 against 0.65 at this size (Fig. 1's trend).
         assert small.footprint_miss_ratio > big.footprint_miss_ratio
 
+    def test_variable_length_prefill_finds_no_branch(self):
+        """Shotgun keeps no branch byte offsets, so pre-decoding a
+        variable-length block finds no branch: it never prefills, and
+        misses fall to its reactive stalls.  The paper's Section V-D
+        makes the same point: VL pre-decode needs the branch footprints
+        that only the proposal stores."""
+        counts = {}
+        for vl in (False, True):
+            gen = get_generator("web_apache", scale=0.2,
+                                variable_length=vl)
+            trace = get_trace("web_apache", n_records=6_000, scale=0.2,
+                              variable_length=vl)
+            pf = ShotgunPrefetcher()
+            sim = FrontendSimulator(trace, prefetcher=pf,
+                                    program=gen.program)
+            sim.run(warmup=2_000)
+            counts[vl] = (pf.proactive_prefills,
+                          sim.btb_prefetch_buffer.inserts)
+        assert counts == {False: (1_916, 1_916), True: (0, 0)}
+
     def test_storage_in_paper_range(self):
         # The paper quotes ~6 KB; our accounting also charges the L1i
         # prefetch buffer's data array, landing somewhat higher.

@@ -18,7 +18,7 @@ import threading
 import pytest
 
 from repro.experiments import runner, store
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, parse_prometheus_text
 from repro.service import (
     Job,
     JobQueue,
@@ -367,16 +367,24 @@ class TestServiceControlPlane:
             time.sleep(0.02)
         raise AssertionError(f"{job_id} never started")
 
+    @staticmethod
+    def _rejected(client) -> float:
+        series = parse_prometheus_text(client.metricsz())
+        return sum(v for _, v in series.get("repro_jobs_rejected_total", ()))
+
     def test_cancel_and_backpressure(self, gated):
         client, release = gated
         running = client.submit("run", n_records=RECORDS)
         self._wait_running(client, running)
         queued = client.submit("run", n_records=RECORDS,
                                workload="oltp_db_a")
-        # A third submission overflows the size-1 queue: 429.
+        # A third submission overflows the size-1 queue: 429, counted
+        # once in /metricsz.
+        rejected = self._rejected(client)
         with pytest.raises(ServiceError) as exc:
             client.submit("run", n_records=RECORDS, workload="web_zeus")
         assert exc.value.status == 429
+        assert self._rejected(client) == rejected + 1
 
         # Cancelling the queued job succeeds; the running one is 409.
         assert client.cancel(queued)["state"] == "cancelled"
