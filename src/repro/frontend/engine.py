@@ -641,8 +641,8 @@ class FrontendSimulator:
     def close(self) -> None:
         """Detach the prefetcher, so that this simulator and everything
         it built are freed by reference counting once the caller drops
-        them.  The prefetcher's own state stays readable; a closed
-        simulator cannot run again.
+        them.  The prefetcher's own state stays readable; run no closed
+        simulator again.
 
         The prefetcher holds the simulator and hooks bound to it, a
         cycle that only the cyclic collector could otherwise reclaim.
