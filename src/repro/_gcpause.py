@@ -2,9 +2,9 @@
 
 Building a program, walking its trace and simulating it allocate
 millions of objects that live on or die by reference counting: none of
-it is cyclic garbage.  The collector still rescans the growing heap as
-it grows, 15-30% of a cold build.  :func:`gc_paused` parks it for such
-a stretch.
+it is cyclic garbage.  The collector still rescans the heap as it
+grows, 15-30% of a cold build's time.  :func:`gc_paused` parks it for
+such a stretch.
 
 The pause is one for the whole process and reentrant: a depth count
 under a lock turns the collector off on the outermost entry and back on
